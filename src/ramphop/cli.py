@@ -431,7 +431,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", type=Path, required=True, help="output path stem")
-    p.add_argument("--seed", type=int, default=0, help="inverse-iteration seed")
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of open-chain inverse iteration"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

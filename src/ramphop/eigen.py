@@ -1,12 +1,14 @@
-"""Dense eigensolvers and exact matrix functionals for the chain matrices.
+"""Eigensolvers and exact matrix functionals for the chain matrices.
 
 Two solver routes are provided: an implicit-shift QL iteration for the real
-symmetric tridiagonal blocks produced by the gauge transform, and a general
-complex solver (balancing, Householder reduction to Hessenberg form, shifted
-QR with deflation, inverse-iteration eigenvectors) for everything else.
-Shifted determinants are evaluated by the tridiagonal continuant recurrence
-with a carried power-of-two exponent, including the rank-two correction for
-ring closures, and double as a Newton polish for banded eigenvalues.
+symmetric tridiagonal blocks produced by the gauge transform, whose
+eigenvectors stay componentwise accurate enough to be ungauged in log space,
+and a general complex solver for everything else.  The general solver hands
+rings and dense matrices to LAPACK; open chains get LAPACK eigenvalues of
+their gauge-similar complex-symmetric form and O(n) inverse-iteration
+eigenvectors in the physical frame.  Shifted determinants are evaluated by
+the tridiagonal continuant recurrence with a carried power-of-two exponent,
+including the rank-two correction for ring closures.
 """
 
 from __future__ import annotations
@@ -62,74 +64,6 @@ class Spectrum:
     @property
     def size(self) -> int:
         return len(self.eigenvalues)
-
-
-# ---------------------------------------------------------------------------
-# internal banded representation (complex tridiagonal plus optional corners)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class _Banded:
-    diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    corner_up: complex = 0.0 + 0.0j  # entry at [n-1, 0]
-    corner_down: complex = 0.0 + 0.0j  # entry at [0, n-1]
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-    @property
-    def has_corners(self) -> bool:
-        return self.corner_up != 0.0 or self.corner_down != 0.0
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        a = np.zeros((n, n), dtype=complex)
-        idx = np.arange(n - 1)
-        a[np.arange(n), np.arange(n)] = self.diag
-        a[idx, idx + 1] = self.upper
-        a[idx + 1, idx] = self.lower
-        if self.has_corners:
-            a[-1, 0] += self.corner_up
-            a[0, -1] += self.corner_down
-        return a
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.upper * v[1:]
-        out[1:] += self.lower * v[:-1]
-        if self.has_corners:
-            out[-1] += self.corner_up * v[0]
-            out[0] += self.corner_down * v[-1]
-        return out
-
-    def frobenius_norm(self) -> float:
-        total = (
-            float(np.sum(np.abs(self.diag) ** 2))
-            + float(np.sum(np.abs(self.upper) ** 2))
-            + float(np.sum(np.abs(self.lower) ** 2))
-            + abs(self.corner_up) ** 2
-            + abs(self.corner_down) ** 2
-        )
-        return math.sqrt(total)
-
-
-def _as_banded(h) -> _Banded | None:
-    if isinstance(h, BandedHamiltonian):
-        cu, cd = h.effective_corners()
-        return _Banded(
-            diag=np.zeros(h.length, dtype=complex),
-            upper=h.upper.astype(complex),
-            lower=h.lower.astype(complex),
-            corner_up=complex(cu),
-            corner_down=complex(cd),
-        )
-    if isinstance(h, _Banded):
-        return h
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -276,56 +210,44 @@ def _sprod(values: np.ndarray) -> tuple[complex, int]:
     return m, e
 
 
-def _continuant(diag, upper, lower, z) -> tuple[tuple[complex, int], tuple[complex, int]]:
-    """Leading-principal determinant of (T - zI) and its z-derivative."""
-    n = len(diag)
-    if n == 0:
-        return (1.0 + 0.0j, 0), (0.0 + 0.0j, 0)
+def _continuant(upper, lower, z) -> tuple[complex, int]:
+    """Determinant of (T - zI) for the zero-diagonal tridiagonal T."""
+    a = 0j - z
     exp = 0
-    p_prev, p = 1.0 + 0.0j, complex(diag[0]) - z
-    dp_prev, dp = 0.0 + 0.0j, -1.0 + 0.0j
-    for k in range(1, n):
-        a = complex(diag[k]) - z
-        w = complex(upper[k - 1]) * complex(lower[k - 1])
-        p_new = a * p - w * p_prev
-        dp_new = -p + a * dp - w * dp_prev
-        p_prev, p = p, p_new
-        dp_prev, dp = dp, dp_new
-        m = max(abs(p), abs(p_prev), abs(dp), abs(dp_prev))
+    p_prev, p = 1.0 + 0.0j, a
+    for up, lo in zip(upper, lower):
+        w = complex(up) * complex(lo)
+        p_prev, p = p, a * p - w * p_prev
+        m = max(abs(p), abs(p_prev))
         if m > 2.0**256:
             p = _ldexp_c(p, -512)
             p_prev = _ldexp_c(p_prev, -512)
-            dp = _ldexp_c(dp, -512)
-            dp_prev = _ldexp_c(dp_prev, -512)
             exp += 512
         elif 0.0 < m < 2.0**-256:
             p = _ldexp_c(p, 512)
             p_prev = _ldexp_c(p_prev, 512)
-            dp = _ldexp_c(dp, 512)
-            dp_prev = _ldexp_c(dp_prev, 512)
             exp -= 512
-    return _snorm(p, exp), _snorm(dp, exp)
+    return _snorm(p, exp)
 
 
-def _det_scaled(b: _Banded, z: complex) -> tuple[tuple[complex, int], tuple[complex, int]]:
-    """det(B - zI) and derivative: continuant plus ring-closure correction."""
-    p, dp = _continuant(b.diag, b.upper, b.lower, z)
-    if not b.has_corners:
-        return p, dp
-    n = b.size
+def _det_scaled(h: BandedHamiltonian, z: complex) -> tuple[complex, int]:
+    """det(H - zI): continuant plus ring-closure correction."""
+    p = _continuant(h.upper, h.lower, z)
+    if not h.is_pbc:
+        return p
+    n = h.length
     if n < 3:
         raise ValueError("corner-corrected determinant requires dimension >= 3")
-    q, dq = _continuant(b.diag[1 : n - 1], b.upper[1 : n - 2], b.lower[1 : n - 2], z)
-    cu = (complex(b.corner_up), 0)
-    cd = (complex(b.corner_down), 0)
+    q = _continuant(h.upper[1 : n - 2], h.lower[1 : n - 2], z)
+    corner_up, corner_down = h.effective_corners()
+    cu = (complex(corner_up), 0)
+    cd = (complex(corner_down), 0)
     cucd = _smul(cu, cd)
     sgn = 1.0 if n % 2 == 1 else -1.0
-    cyc_u = _smul(cu, _sprod(b.upper))
-    cyc_d = _smul(cd, _sprod(b.lower))
+    cyc_u = _smul(cu, _sprod(h.upper))
+    cyc_d = _smul(cd, _sprod(h.lower))
     cyc = _smul((sgn + 0.0j, 0), _sadd(cyc_u, cyc_d))
-    det = _sadd(p, _sadd(_smul((-1.0 + 0.0j, 0), _smul(cucd, q)), cyc))
-    ddet = _sadd(dp, _smul((-1.0 + 0.0j, 0), _smul(cucd, dq)))
-    return det, ddet
+    return _sadd(p, _sadd(_smul((-1.0 + 0.0j, 0), _smul(cucd, q)), cyc))
 
 
 @dataclass(frozen=True)
@@ -353,11 +275,10 @@ class ScaledDeterminant:
 
 def det_shifted(h, z: complex) -> ScaledDeterminant:
     """det(H - zI) via the continuant recurrence with scale tracking."""
-    b = _as_banded(h)
-    if b is None:
+    if not isinstance(h, BandedHamiltonian):
         raise TypeError("det_shifted expects a banded matrix")
-    det, _ = _det_scaled(b, complex(z))
-    return ScaledDeterminant(det[0], det[1])
+    mantissa, exponent = _det_scaled(h, complex(z))
+    return ScaledDeterminant(mantissa, exponent)
 
 
 @dataclass(frozen=True)
@@ -393,219 +314,11 @@ def residual(h, eigenvalue: complex, v: np.ndarray) -> float:
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise ValueError("zero vector has no residual")
-    b = _as_banded(h)
-    hv = b.matvec(v) if b is not None else np.asarray(h, dtype=complex) @ v
+    if isinstance(h, BandedHamiltonian):
+        hv = h.matvec(v)
+    else:
+        hv = np.asarray(h, dtype=complex) @ v
     return float(np.linalg.norm(hv - eigenvalue * v)) / nv
-
-
-# ---------------------------------------------------------------------------
-# general complex solver: balance + Hessenberg + shifted QR
-# ---------------------------------------------------------------------------
-
-
-def _balance(a: np.ndarray) -> None:
-    """Parlett-Reinsch diagonal scaling by powers of two, in place."""
-    n = a.shape[0]
-    radix = 2.0
-    sqrdx = radix * radix
-    for _ in range(100):
-        done = True
-        for i in range(n):
-            r = float(np.sum(np.abs(a[i, :]))) - abs(a[i, i])
-            c = float(np.sum(np.abs(a[:, i]))) - abs(a[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            g = r / radix
-            f = 1.0
-            s = c + r
-            while c < g:
-                f *= radix
-                c *= sqrdx
-            g = r * radix
-            while c > g:
-                f /= radix
-                c /= sqrdx
-            if (c + r) / f < 0.95 * s:
-                done = False
-                a[i, :] *= 1.0 / f
-                a[:, i] *= f
-        if done:
-            return
-
-
-def _hessenberg(a: np.ndarray) -> None:
-    """Householder reduction to upper Hessenberg form, in place."""
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        if np.linalg.norm(x[1:]) == 0.0:
-            continue
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        alpha = -phase * norm_x
-        v = x.copy()
-        v[0] -= alpha
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        a[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ a[k + 1 :, k:])
-        a[:, k + 1 :] -= 2.0 * np.outer(a[:, k + 1 :] @ v, v.conj())
-        a[k + 1, k] = alpha
-        a[k + 2 :, k] = 0.0
-
-
-def _givens(f: complex, g: complex) -> tuple[float, complex, complex]:
-    """Rotation [[c, s], [-conj(s), c]] (c real) sending (f, g) to (r, 0)."""
-    if g == 0:
-        return 1.0, 0.0 + 0.0j, f
-    if f == 0:
-        return 0.0, g.conjugate() / abs(g), abs(g)
-    af = abs(f)
-    d = math.hypot(af, abs(g))
-    c = af / d
-    fs = f / af
-    return c, fs * g.conjugate() / d, fs * d
-
-
-def _eig2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]] by the stable quadratic formula."""
-    tr = a + d
-    det = a * d - b * c
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    if abs(tr + disc) >= abs(tr - disc):
-        big = 0.5 * (tr + disc)
-    else:
-        big = 0.5 * (tr - disc)
-    if big == 0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
-    return big, det / big
-
-
-def _wilkinson_shift(h: np.ndarray, hi: int) -> complex:
-    r1, r2 = _eig2(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-    d = h[hi, hi]
-    return r1 if abs(r1 - d) <= abs(r2 - d) else r2
-
-
-def _qr_sweep(h: np.ndarray, l: int, hi: int, shift: complex) -> None:
-    """One implicit single-shift QR step on the active block h[l:hi+1]."""
-    x = h[l, l] - shift
-    y = h[l + 1, l]
-    for k in range(l, hi):
-        c, s, r = _givens(x, y)
-        if k > l:
-            h[k, k - 1] = r
-            h[k + 1, k - 1] = 0.0
-        cols = slice(k, hi + 1)
-        row_k = h[k, cols].copy()
-        row_k1 = h[k + 1, cols]
-        h[k, cols] = c * row_k + s * row_k1
-        h[k + 1, cols] = -np.conj(s) * row_k + c * row_k1
-        rows = slice(l, min(k + 2, hi) + 1)
-        col_k = h[rows, k].copy()
-        col_k1 = h[rows, k + 1]
-        h[rows, k] = c * col_k + np.conj(s) * col_k1
-        h[rows, k + 1] = -s * col_k + c * col_k1
-        if k < hi - 1:
-            x = h[k + 1, k]
-            y = h[k + 2, k]
-
-
-def _hessenberg_qr_eigvals(h: np.ndarray) -> np.ndarray:
-    n = h.shape[0]
-    w = np.empty(n, dtype=complex)
-    anorm = float(np.sum(np.abs(h)))
-    if anorm == 0.0:
-        return np.zeros(n, dtype=complex)
-    budget = SWEEPS_PER_EIGENVALUE * n
-    sweeps = 0
-    hi = n - 1
-    its = 0
-    while hi >= 0:
-        l = hi
-        while l > 0:
-            s = abs(h[l - 1, l - 1]) + abs(h[l, l])
-            if s == 0.0:
-                s = anorm
-            if abs(h[l, l - 1]) <= _EPS * s:
-                h[l, l - 1] = 0.0
-                break
-            l -= 1
-        if l == hi:
-            w[hi] = h[hi, hi]
-            hi -= 1
-            its = 0
-            continue
-        if l == hi - 1:
-            w[hi - 1], w[hi] = _eig2(
-                h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi]
-            )
-            hi -= 2
-            its = 0
-            continue
-        sweeps += 1
-        its += 1
-        if sweeps > budget:
-            raise ConvergenceError(f"QR iteration exceeded {budget} sweeps")
-        if its % 10 == 0:
-            extra = abs(h[hi, hi - 1])
-            if hi - 1 > l:
-                extra += abs(h[hi - 1, hi - 2])
-            shift = h[hi, hi] + 0.75 * extra
-        else:
-            shift = _wilkinson_shift(h, hi)
-        _qr_sweep(h, l, hi, shift)
-    return w
-
-
-def _qr_eigenvalues(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return a[0, :1].copy()
-    if n == 2:
-        return np.array(_eig2(a[0, 0], a[0, 1], a[1, 0], a[1, 1]))
-    _balance(a)
-    _hessenberg(a)
-    return _hessenberg_qr_eigvals(a)
-
-
-def _refine_banded(b: _Banded, lam: np.ndarray) -> np.ndarray:
-    """Newton polish on the continuant, guarded against cluster collapse."""
-    n = len(lam)
-    if n < 2:
-        gaps = np.full(n, math.inf)
-    else:
-        dist = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(dist, math.inf)
-        gaps = dist.min(axis=1)
-    out = lam.copy()
-    for i in range(n):
-        z = complex(lam[i])
-        limit = 0.25 * gaps[i] if math.isfinite(gaps[i]) else math.inf
-        for _ in range(3):
-            det, ddet = _det_scaled(b, z)
-            if ddet[0] == 0:
-                break
-            kshift = det[1] - ddet[1]
-            if abs(kshift) > 1000:
-                break
-            delta = _ldexp_c(det[0] / ddet[0], kshift)
-            if not (math.isfinite(delta.real) and math.isfinite(delta.imag)):
-                break
-            z_new = z - delta
-            if abs(z_new - complex(lam[i])) > limit:
-                z_new = z
-                break
-            z = z_new
-            if abs(delta) <= 1e-16 * max(1.0, abs(z)):
-                break
-        out[i] = z
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -659,216 +372,29 @@ def _tridiag_solve(factors, rhs):
 
 
 class _ShiftedBandedSolver:
-    """Apply (B - zI)^-1 for a tridiagonal-with-corners matrix in O(n).
+    """Apply (H - zI)^-1 for an open banded chain in O(n) by pivoted LU."""
 
-    The ring corners are folded in through the Woodbury identity on top of
-    a pivoted tridiagonal LU of the shifted interior.
-    """
-
-    def __init__(self, b: _Banded, z: complex):
-        n = b.size
+    def __init__(self, h: BandedHamiltonian, z: complex):
         scale = max(
-            float(np.max(np.abs(b.diag - z))) if n else 0.0,
-            float(np.max(np.abs(b.upper))) if n > 1 else 0.0,
-            float(np.max(np.abs(b.lower))) if n > 1 else 0.0,
-            abs(b.corner_up),
-            abs(b.corner_down),
+            abs(z),
+            float(np.max(np.abs(h.upper), initial=0.0)),
+            float(np.max(np.abs(h.lower), initial=0.0)),
             1e-300,
         )
-        safe = _EPS * scale
         self._factors = _tridiag_factor(
-            b.lower.astype(complex).copy(),
-            (b.diag - z).astype(complex).copy(),
-            b.upper.astype(complex).copy(),
-            safe,
+            h.lower.astype(complex),
+            np.full(h.length, -z, dtype=complex),
+            h.upper.astype(complex),
+            _EPS * scale,
         )
-        self._corner = None
-        if b.has_corners:
-            e_first = np.zeros(n, dtype=complex)
-            e_first[0] = 1.0
-            e_last = np.zeros(n, dtype=complex)
-            e_last[-1] = 1.0
-            w1 = _tridiag_solve(self._factors, e_first)
-            w2 = _tridiag_solve(self._factors, e_last)
-            # A = T + e0 cd e_{n-1}^T + e_{n-1} cu e0^T = T + U M V^T with
-            # U = [e0, e_{n-1}], M = diag(cd, cu), V = [e_{n-1}, e0].
-            m = np.array([[b.corner_down, 0.0], [0.0, b.corner_up]], dtype=complex)
-            vt_w = np.array([[w1[-1], w2[-1]], [w1[0], w2[0]]], dtype=complex)
-            s = np.eye(2, dtype=complex) + m @ vt_w
-            det_s = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-            if abs(det_s) < _EPS * max(1.0, float(np.max(np.abs(s)))):
-                det_s = _EPS * max(1.0, float(np.max(np.abs(s))))
-            self._corner = (w1, w2, m, s, det_s)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        y = _tridiag_solve(self._factors, rhs)
-        if self._corner is None:
-            return y
-        w1, w2, m, s, det_s = self._corner
-        vt_y = np.array([y[-1], y[0]], dtype=complex)
-        t = m @ vt_y
-        # solve s @ u = t with the precomputed 2x2 determinant
-        u0 = (s[1, 1] * t[0] - s[0, 1] * t[1]) / det_s
-        u1 = (s[0, 0] * t[1] - s[1, 0] * t[0]) / det_s
-        return y - (w1 * u0 + w2 * u1)
+        return _tridiag_solve(self._factors, rhs)
 
 
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense LU with partial pivoting; zero pivots replaced by a safe floor."""
-    n = a.shape[0]
-    lu = a.astype(complex).copy()
-    piv = np.arange(n)
-    scale = max(float(np.max(np.abs(lu))), 1e-300)
-    safe = _EPS * scale
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-            piv[[k, p]] = piv[[p, k]]
-        if lu[k, k] == 0:
-            lu[k, k] = safe
-        if k < n - 1:
-            lu[k + 1 :, k] /= lu[k, k]
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, piv
-
-
-def _lu_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    x = rhs[piv].astype(complex)
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    return x
-
-
-class _ShiftedDenseSolver:
-    def __init__(self, a: np.ndarray, z: complex):
-        shifted = a.astype(complex).copy()
-        shifted[np.arange(len(a)), np.arange(len(a))] -= z
-        self._lu, self._piv = _lu_factor(shifted)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _lu_solve(self._lu, self._piv, rhs)
-
-
-def _chain_balance(b: _Banded) -> np.ndarray | None:
-    """Directional magnitude balance of an open banded matrix.
-
-    Row/column-norm balancing cannot see a uniform forward/backward
-    imbalance (the norms already agree), so banded inputs are pre-scaled by
-    the explicit gauge ratio sqrt(|lower/upper|) per bond.  Vanishing bonds
-    are floored; their balanced amplitude just underflows harmlessly.
-    """
-    if b.has_corners:
-        return _ring_balance(b)
-    n = b.size
-    if n < 2:
-        return None
-    au = np.abs(b.upper)
-    al = np.abs(b.lower)
-    scale = max(float(au.max()), float(al.max()))
-    if scale == 0.0:
-        return None
-    floor = _EPS * scale
-    steps = 0.5 * (np.log(np.maximum(al, floor)) - np.log(np.maximum(au, floor)))
-    return np.concatenate([[0.0], np.cumsum(steps)])
-
-
-def _ring_balance(b: _Banded) -> np.ndarray | None:
-    """Log scale factors equalizing forward/backward magnitudes on a ring.
-
-    A nonreciprocal ring cannot be symmetrized exactly.  When some bond is
-    numerically dead, the ring is balanced as an open chain cut there, the
-    dead bond absorbing the closure mismatch; otherwise the mismatch is
-    spread evenly over all bonds.  Either way the exponential resolvent
-    growth that stalls raw-frame inverse iteration is removed.  Returns
-    None when no usable frame exists.
-    """
-    n = b.size
-    if n < 3 or not b.has_corners:
-        return None
-    au = np.abs(b.upper)
-    al = np.abs(b.lower)
-    acu, acd = abs(b.corner_up), abs(b.corner_down)
-    scale = max(float(au.max()), float(al.max()), acu, acd)
-    if scale == 0.0:
-        return None
-    floor = _EPS * scale
-    auf = np.maximum(au, floor)
-    alf = np.maximum(al, floor)
-    steps = 0.5 * (np.log(alf) - np.log(auf))
-    corner_step = 0.5 * (math.log(max(acd, floor)) - math.log(max(acu, floor)))
-
-    weak = np.minimum(au, al)
-    corner_weak = min(acu, acd)
-    cut_limit = 1e3 * floor
-    ls = None
-    if float(weak.min()) < cut_limit and float(weak.min()) <= corner_weak:
-        c = int(np.argmin(weak))
-        ls = np.zeros(n)
-        for j in range(c + 1, n - 1):
-            ls[j + 1] = ls[j] + steps[j]
-        ls[0] = ls[n - 1] + corner_step
-        for j in range(0, c):
-            ls[j + 1] = ls[j] + steps[j]
-        delta = ls[c + 1] - ls[c]
-        if not _cut_bond_fits(b.upper[c], delta, scale) or not _cut_bond_fits(
-            b.lower[c], -delta, scale
-        ):
-            ls = None
-    elif corner_weak < cut_limit:
-        ls = np.concatenate([[0.0], np.cumsum(steps)])
-        delta = ls[0] - ls[-1]
-        if not _cut_bond_fits(b.corner_up, delta, scale) or not _cut_bond_fits(
-            b.corner_down, -delta, scale
-        ):
-            ls = None
-    else:
-        ls = np.concatenate([[0.0], np.cumsum(steps)])
-        mismatch = (ls[-1] + corner_step) - 0.0
-        ls = ls - mismatch * np.arange(n) / n
-    if ls is None or not np.all(np.isfinite(ls)):
-        return None
-    ls = ls - ls.max()
-    if float(np.min(ls)) < -600.0 * max(1.0, n / 100.0):
-        return None
-    return ls
-
-
-def _cut_bond_fits(amp: complex, delta: float, scale: float) -> bool:
-    """Check amp * e^delta stays representable and of moderate size."""
-    if amp == 0:
-        return True
-    return math.log(abs(amp)) + delta <= math.log(10.0 * scale)
-
-
-def _scaled_entries(vals: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """vals * exp(delta) evaluated in the log domain (underflow to zero)."""
-    out = np.zeros_like(vals, dtype=complex)
-    nz = vals != 0
-    if np.any(nz):
-        mag = np.exp(np.log(np.abs(vals[nz])) + delta[nz])
-        out[nz] = vals[nz] / np.abs(vals[nz]) * mag
-    return out
-
-
-def _balanced_banded(b: _Banded, ls: np.ndarray) -> _Banded:
-    d = np.diff(ls)
-    corner_delta = ls[0] - ls[-1]
-    cu = _scaled_entries(np.array([b.corner_up]), np.array([corner_delta]))[0]
-    cd = _scaled_entries(np.array([b.corner_down]), np.array([-corner_delta]))[0]
-    return _Banded(
-        diag=b.diag.copy(),
-        upper=_scaled_entries(b.upper, d),
-        lower=_scaled_entries(b.lower, -d),
-        corner_up=cu,
-        corner_down=cd,
-    )
-
-
-def _inverse_iteration(solver, matvec, z, n, rng, tol):
+def _inverse_iteration(h: BandedHamiltonian, z: complex, rng, tol):
+    solver = _ShiftedBandedSolver(h, z)
+    n = h.length
     best_res = math.inf
     best_v = None
     for _ in range(_INVIT_RESTARTS):
@@ -880,7 +406,7 @@ def _inverse_iteration(solver, matvec, z, n, rng, tol):
             if not math.isfinite(norm_w) or norm_w == 0.0:
                 break
             v = w / norm_w
-            res = float(np.linalg.norm(matvec(v) - z * v))
+            res = float(np.linalg.norm(h.matvec(v) - z * v))
             if res < best_res:
                 best_res = res
                 best_v = v.copy()
@@ -889,92 +415,78 @@ def _inverse_iteration(solver, matvec, z, n, rng, tol):
     if best_v is None:
         best_v = np.zeros(n, dtype=complex)
         best_v[0] = 1.0
-        best_res = float(np.linalg.norm(matvec(best_v) - z * best_v))
+        best_res = float(np.linalg.norm(h.matvec(best_v) - z * best_v))
     return best_v, best_res, False
 
 
-def eig_general(h, want_vectors: bool = False, *, refine: bool = True, seed: int = 0) -> Spectrum:
+def _symmetric_chain(h: BandedHamiltonian) -> np.ndarray:
+    """Dense complex-symmetric tridiagonal similar to an open chain.
+
+    The off-diagonal sqrt(upper * lower) is the diagonal gauge similarity
+    of the chain: it keeps entries of the size of the amplitudes, where the
+    raw nonreciprocal chain would let rounding move its eigenvalues off the
+    real and imaginary axes.
+    """
+    off = np.sqrt(h.upper * h.lower + 0j)
+    a = np.zeros((h.length, h.length), dtype=complex)
+    idx = np.arange(h.length - 1)
+    a[idx, idx + 1] = off
+    a[idx + 1, idx] = off
+    return a
+
+
+def eig_general(h, want_vectors: bool = False, *, seed: int = 0) -> Spectrum:
     """Complex spectrum of a banded Hamiltonian or a dense square matrix.
 
-    Eigenvalues come from balancing, Householder reduction, and implicit
-    single-shift QR with deflation.  Banded inputs get a Newton polish of
-    each eigenvalue on the shifted determinant (disable with ``refine=False``
-    to exercise the raw QR output).  Eigenvectors, when requested, come from
-    inverse iteration on the original matrix with seeded random restarts;
-    a pair that stalls is flagged in ``unconverged``, not fatal.
+    Rings and dense input are handed to LAPACK (``numpy.linalg.eig``) and
+    are deterministic.  An open chain takes its eigenvalues from LAPACK on
+    the gauge-similar complex-symmetric form, and its eigenvectors from O(n)
+    inverse iteration on the chain itself with restarts drawn from ``seed``;
+    a pair that stalls is flagged in ``unconverged``, not fatal.  Residuals
+    are ||H v - E v|| against the matrix as given.
     """
-    b = _as_banded(h)
-    if b is not None:
-        dense = b.to_dense()
-        matvec = b.matvec
-        fro = b.frobenius_norm()
+    banded = isinstance(h, BandedHamiltonian)
+    if banded:
+        fro = h.frobenius_norm()
+        dense = h.to_dense() if h.is_pbc else _symmetric_chain(h)
     else:
         dense = np.asarray(h, dtype=complex)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("matrix must be square")
         if dense.shape[0] < 1:
             raise ValueError("matrix dimension must be >= 1")
-        matvec = lambda v: dense @ v  # noqa: E731
-        fro = math.sqrt(float(np.sum(np.abs(dense) ** 2)))
+        fro = float(np.linalg.norm(dense))
+    if not dense.imag.any():
+        # a real matrix keeps its spectrum exactly closed under conjugation
+        dense = dense.real
     n = dense.shape[0]
-    if b is not None:
-        ls_pre = _chain_balance(b)
-        prebalanced = _balanced_banded(b, ls_pre) if ls_pre is not None else b
-        lam = _qr_eigenvalues(prebalanced.to_dense())
-        if refine and n >= 2:
-            lam = _refine_banded(prebalanced, lam)
+    inverse_iterate = want_vectors and banded and not h.is_pbc
+    vectors = None
+    if want_vectors and not inverse_iterate:
+        lam, vectors = np.linalg.eig(dense)
     else:
-        lam = _qr_eigenvalues(dense.copy())
+        lam = np.linalg.eigvals(dense)
+    lam = lam.astype(complex)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
-    vectors = None
     residuals = None
     unconverged = np.zeros(n, dtype=bool)
     if want_vectors:
-        rng = np.random.default_rng(seed)
         tol = RESIDUAL_RTOL * max(fro, 1e-300)
-        ls = _ring_balance(b) if b is not None else None
-        if ls is not None:
-            work = _balanced_banded(b, ls)
-            work_tol = RESIDUAL_RTOL * max(work.frobenius_norm(), 1e-300)
-            unbalance = np.exp(ls)
+        if inverse_iterate:
+            rng = np.random.default_rng(seed)
+            vectors = np.empty((n, n), dtype=complex)
+            residuals = np.empty(n)
+            for i, z in enumerate(lam):
+                v, res, ok = _inverse_iteration(h, complex(z), rng, tol)
+                vectors[:, i] = v
+                residuals[i] = res
+                unconverged[i] = not ok
         else:
-            work = b
-            work_tol = tol
-            unbalance = None
-        vectors = np.empty((n, n), dtype=complex)
-        residuals = np.empty(n)
-        for i, z in enumerate(lam):
-            if work is not None:
-                solver = _ShiftedBandedSolver(work, complex(z))
-                v, res, ok = _inverse_iteration(
-                    solver, work.matvec, complex(z), n, rng, work_tol
-                )
-                if unbalance is not None:
-                    v = v * unbalance
-                    v /= np.linalg.norm(v)
-                    res = float(np.linalg.norm(matvec(v) - z * v))
-                    ok = res <= tol
-                if not ok:
-                    # The O(n) corner solve loses accuracy exactly where the
-                    # ring resolvent is pseudospectrally inflated; a pivoted
-                    # dense factorization of the original matrix still works.
-                    v2, res2, ok2 = _inverse_iteration(
-                        _ShiftedDenseSolver(dense, complex(z)),
-                        matvec,
-                        complex(z),
-                        n,
-                        rng,
-                        tol,
-                    )
-                    if res2 < res:
-                        v, res, ok = v2, res2, ok2
-            else:
-                solver = _ShiftedDenseSolver(dense, complex(z))
-                v, res, ok = _inverse_iteration(solver, matvec, complex(z), n, rng, tol)
-            vectors[:, i] = v
-            residuals[i] = res
-            unconverged[i] = not ok
+            vectors = vectors[:, order].astype(complex)
+            hv = h.matvec(vectors) if banded else dense @ vectors
+            residuals = np.linalg.norm(hv - vectors * lam[None, :], axis=0)
+            unconverged = residuals > tol
     return Spectrum(
         eigenvalues=lam,
         eigenvectors=vectors,

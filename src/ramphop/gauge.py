@@ -248,11 +248,10 @@ def ungauge(
         raise ValueError(
             f"vector length {w.shape} does not match gauge length {gauge.length}"
         )
-    if not np.all(np.isfinite(w.view(float))):
+    if not np.all(np.isfinite(w)):
         raise OverflowError("non-finite components in transformed vector")
     amp = np.abs(w)
-    with np.errstate(divide="ignore"):
-        log_v = np.where(amp > 0.0, np.log(amp, where=amp > 0.0), -np.inf)
+    log_v = np.log(amp, out=np.full(gauge.length, -np.inf), where=amp > 0.0)
     log_v = log_v + gauge.log_mag + log_scale
     if not np.any(np.isfinite(log_v)):
         raise ValueError("cannot ungauge a zero vector")

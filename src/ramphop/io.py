@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ClassifiedSpectrum, EigenClass, EnvelopeFit, WindingTrace
+from .analysis import ClassifiedSpectrum, EnvelopeFit, WindingTrace
 
 
 def _f(x) -> str:
@@ -75,10 +75,9 @@ def write_states_csv(
     lines = ["state_id,eigen_re,eigen_im,site,amplitude"]
     for k in range(profiles.shape[1]):
         e = eigenvalues[k]
+        head = f"{k},{_f(e.real)},{_f(e.imag)}"
         for j in range(profiles.shape[0]):
-            lines.append(
-                f"{k},{_f(e.real)},{_f(e.imag)},{j + 1},{_f(profiles[j, k])}"
-            )
+            lines.append(f"{head},{j + 1},{_f(profiles[j, k])}")
     _write(path, lines)
 
 
@@ -154,7 +153,3 @@ def envelope_fit_json(fit: EnvelopeFit) -> dict:
 def write_json(path: Path, document: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
-
-
-def class_order_key(label: EigenClass) -> int:
-    return {EigenClass.REAL: 0, EigenClass.IMAGINARY: 1, EigenClass.COMPLEX: 2}[label]

@@ -133,10 +133,12 @@ class BandedHamiltonian:
         return h
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H @ v for a vector or an (L, k) block of columns."""
         v = np.asarray(v)
-        out = np.zeros(self.length, dtype=np.result_type(v.dtype, complex))
-        out[:-1] += self.upper * v[1:]
-        out[1:] += self.lower * v[:-1]
+        rows = (slice(None),) + (None,) * (v.ndim - 1)
+        out = np.zeros(v.shape, dtype=np.result_type(v.dtype, complex))
+        out[:-1] += self.upper[rows] * v[1:]
+        out[1:] += self.lower[rows] * v[:-1]
         if self.is_pbc:
             cu, cd = self.effective_corners()
             out[-1] += cu * v[0]

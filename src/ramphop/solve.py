@@ -1,12 +1,11 @@
 """Regime-routed spectrum solver for the ramped chain.
 
 Open chains are solved through the gauge transform whenever it decouples
-(symmetric-tridiagonal blocks, exact real/imaginary eigenvalues); the
-coupled non-integer case runs the general solver on the gauge-balanced
-similar matrix, whose entries stay of order of the raw amplitudes.  Rings
-always go through the general solver.  Eigenvectors are mapped back to the
-physical frame, or computed there directly by inverse iteration when the
-gauge frame cannot resolve their tails.
+(symmetric-tridiagonal blocks, exact real/imaginary eigenvalues), and their
+eigenvectors are ungauged back to the physical frame in log space.  The
+coupled non-integer case and rings go through the general solver, which
+takes open-chain eigenvalues from the gauge-similar complex-symmetric form
+and computes their eigenvectors by inverse iteration in the physical frame.
 """
 
 from __future__ import annotations
@@ -17,14 +16,11 @@ from .eigen import (
     RESIDUAL_RTOL,
     Spectrum,
     SpectrumSource,
-    _as_banded,
-    _Banded,
-    _inverse_iteration,
     _ShiftedBandedSolver,
     eig_general,
     eig_sym_tridiag,
 )
-from .gauge import balanced_form, gauge_vector, hermitize, ungauge
+from .gauge import gauge_vector, hermitize, ungauge
 from .model import (
     BandedHamiltonian,
     Boundary,
@@ -33,17 +29,6 @@ from .model import (
     build_hamiltonian,
     classify_regime,
 )
-
-
-def _apply_banded(h: BandedHamiltonian, v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v, dtype=complex)
-    out[:-1] += h.upper[:, None] * v[1:]
-    out[1:] += h.lower[:, None] * v[:-1]
-    if h.is_pbc:
-        cu, cd = h.effective_corners()
-        out[-1] += cu * v[0]
-        out[0] += cd * v[-1]
-    return out
 
 
 def _column_normalize(v: np.ndarray) -> np.ndarray:
@@ -58,7 +43,7 @@ def _finish(h, eigenvalues, vectors) -> Spectrum:
     if vectors is not None:
         vectors = _column_normalize(vectors[:, order])
         residuals = np.linalg.norm(
-            _apply_banded(h, vectors) - vectors * eigenvalues[None, :], axis=0
+            h.matvec(vectors) - vectors * eigenvalues[None, :], axis=0
         )
         unconverged = residuals > RESIDUAL_RTOL * h.frobenius_norm()
     return Spectrum(
@@ -108,7 +93,7 @@ def solve_spectrum(
     if regime.kind is RegimeKind.INTEGER_SPLIT:
         return _solve_integer_split(params, h, regime.split, want_vectors)
 
-    return _solve_coupled(params, h, want_vectors, seed)
+    return eig_general(h, want_vectors, seed=seed)
 
 
 def _solve_integer_split(params, h, m, want_vectors) -> Spectrum:
@@ -130,11 +115,7 @@ def _solve_integer_split(params, h, m, want_vectors) -> Spectrum:
         # coupling in the gauge frame, carrying the split gauge magnitude as
         # a log shift so nothing overflows.
         off_a = dec.block_a.offdiag
-        block_a = _Banded(
-            diag=np.zeros(m, dtype=complex),
-            upper=off_a.astype(complex),
-            lower=off_a.astype(complex),
-        )
+        block_a = BandedHamiltonian(length=m, upper=off_a, lower=off_a)
         log_shift = np.zeros(n)
         log_shift[:m] = -ga.log_mag[m - 1]
         for i in range(spec_b.size):
@@ -147,39 +128,6 @@ def _solve_integer_split(params, h, m, want_vectors) -> Spectrum:
             cols.append(ungauge(ga, padded, log_scale=log_shift))
         vectors = np.column_stack(cols)
     return _finish(h, eigenvalues, vectors)
-
-
-def _solve_coupled(params, h, want_vectors, seed) -> Spectrum:
-    entries, _ = balanced_form(params)
-    balanced = _Banded(
-        diag=np.zeros(params.length, dtype=complex), upper=entries, lower=entries
-    )
-    eigenvalues = eig_general(balanced, want_vectors=False).eigenvalues
-    vectors = None
-    residuals = None
-    unconverged = np.zeros(len(eigenvalues), dtype=bool)
-    if want_vectors:
-        raw = _as_banded(h)
-        rng = np.random.default_rng(seed)
-        tol = RESIDUAL_RTOL * h.frobenius_norm()
-        n = params.length
-        vectors = np.empty((n, n), dtype=complex)
-        residuals = np.empty(n)
-        for i, z in enumerate(eigenvalues):
-            solver = _ShiftedBandedSolver(raw, complex(z))
-            v, res, ok = _inverse_iteration(
-                solver, raw.matvec, complex(z), n, rng, tol
-            )
-            vectors[:, i] = v
-            residuals[i] = res
-            unconverged[i] = not ok
-    return Spectrum(
-        eigenvalues=eigenvalues,
-        eigenvectors=vectors,
-        residuals=residuals,
-        source=SpectrumSource.GENERAL_QR,
-        unconverged=unconverged,
-    )
 
 
 def block_spectra(params: LatticeParams) -> tuple[np.ndarray, np.ndarray]:

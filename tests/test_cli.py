@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ramphop import ConvergenceError
+from ramphop import Boundary, ConvergenceError, LatticeParams, build_hamiltonian
 from ramphop.cli import main
+from ramphop.eigen import RESIDUAL_RTOL
 
 
 def run(args):
@@ -66,6 +67,17 @@ class TestSpectrumCommand:
             assert abs(float(row["re"]) - entry["re"]) <= 1e-12
             assert abs(float(row["im"]) - entry["im"]) <= 1e-12
             assert row["class"] == entry["class"]
+
+    def test_long_ring_converges(self, tmp_path):
+        out = tmp_path / "ring"
+        assert run(
+            ["spectrum", "--boundary", "pbc", "--gamma", "0.011", "--length", "200", "--out", out]
+        ) == 0
+        rows = read_csv(tmp_path / "ring_spectrum.csv")
+        assert len(rows) == 200
+        params = LatticeParams(t=1.0, gamma=0.011, length=200, boundary=Boundary.PBC)
+        tol = RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()
+        assert max(float(r["residual"]) for r in rows) <= tol
 
 
 class TestSweepCommand:

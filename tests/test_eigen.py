@@ -15,9 +15,10 @@ from ramphop import (
     eig_general,
     eig_sym_tridiag,
     residual,
+    solve_spectrum,
     spectral_moments,
 )
-from ramphop.eigen import SpectrumSource
+from ramphop.eigen import RESIDUAL_RTOL, SpectrumSource
 from _oracles import charpoly, contour_roots, dense_matrix, max_pairing_gap
 
 
@@ -237,3 +238,28 @@ def test_constant_nonreciprocity_is_exactly_rebalanced():
     assert np.max(np.abs(strong.real)) < 1e-10
     weak = eig_general(build_hatano_nelson(1.0, 0.5, 50)).eigenvalues
     assert np.max(np.abs(weak.imag)) < 1e-10
+
+
+def test_long_ring_spectrum_meets_the_trace_identities():
+    # panel 5a's ring: eigenvalue condition numbers reach 1e16 here, so only
+    # a backward-stable solver keeps the moments
+    params = LatticeParams(t=1.0, gamma=0.01, length=200, boundary=Boundary.PBC)
+    h = build_hamiltonian(params)
+    spec = eig_general(h, want_vectors=True)
+    lam = spec.eigenvalues
+    mom = spectral_moments(h)
+    fro = h.frobenius_norm()
+    assert abs(np.sum(lam)) <= 1e-9 * params.length * fro
+    assert abs(np.sum(lam**2) - mom.trace_sq) <= 1e-6 * abs(mom.trace_sq) + 1e-9 * fro**2
+    assert not np.any(spec.unconverged)
+    assert np.max(spec.residuals) <= RESIDUAL_RTOL * fro
+
+
+def test_long_open_chain_eigenvectors_all_converge():
+    # integer split at 100: both gauge blocks' QL eigenvectors are ungauged
+    # in log space, and only their componentwise accuracy keeps every pair
+    # within tolerance (LAPACK eigh vectors stall here)
+    params = LatticeParams(t=1.0, gamma=0.01, length=200)
+    spec = solve_spectrum(params, want_vectors=True)
+    assert not np.any(spec.unconverged)
+    assert np.max(spec.residuals) <= RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()

@@ -158,6 +158,18 @@ def test_ungauge_inverts_the_gauge():
     assert np.allclose(restored, v / np.max(np.abs(v)))
 
 
+def test_ungauge_accepts_a_column_slice():
+    # a column of a C-ordered matrix is a strided, non-contiguous view
+    params = LatticeParams(t=1.0, gamma=0.05, length=12)
+    ga = gauge_vector(params)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    w = v / ga.values()[:, None]
+    assert not w[:, 1].flags.contiguous
+    restored = ungauge(ga, w[:, 1])
+    assert np.allclose(restored, v[:, 1] / np.max(np.abs(v[:, 1])))
+
+
 def test_ungauge_checks_length():
     ga = gauge_vector(LatticeParams(t=1.0, gamma=0.05, length=12))
     with pytest.raises(ValueError):
