@@ -1,7 +1,7 @@
 """Command-line front end: spectra, sweeps, state profiles, windings, figures.
 
 Exit codes: 0 success, 2 invalid arguments, 3 solver convergence failure,
-4 winding base point on the spectrum.  Identical arguments and seed produce
+4 winding base point on the spectrum.  Identical arguments produce
 byte-identical output files; sweeps parallelize over gamma without touching
 the output order.
 """
@@ -118,11 +118,20 @@ def _ladder_json(cs) -> dict:
     return out
 
 
+def _solve_with_vectors(params: LatticeParams):
+    spec = solve_spectrum(params, want_vectors=True)
+    failed = int(np.count_nonzero(spec.unconverged))
+    if failed:
+        raise ConvergenceError(
+            f"{failed} of {spec.size} eigenpairs missed the residual tolerance "
+            f"(gamma={params.gamma!r}, L={params.length}, boundary={params.boundary.value})"
+        )
+    return spec
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     params = cfg.params()
-    spec = solve_spectrum(params, want_vectors=True, seed=cfg.seed)
-    if bool(np.any(spec.unconverged)):
-        raise ConvergenceError("eigenvector iteration stalled")
+    spec = _solve_with_vectors(params)
     cs = classify(spec)
     blocks = None
     if params.boundary is Boundary.OBC:
@@ -260,9 +269,7 @@ def _select_states(cs, eigenvalues: np.ndarray, select: str) -> list[int]:
 
 def cmd_states(cfg: RunConfig) -> int:
     params = cfg.params()
-    spec = solve_spectrum(params, want_vectors=True, seed=cfg.seed)
-    if bool(np.any(spec.unconverged)):
-        raise ConvergenceError("eigenvector iteration stalled")
+    spec = _solve_with_vectors(params)
     cs = classify(spec)
     picked = _select_states(cs, spec.eigenvalues, cfg.select)
     if not picked:
@@ -432,7 +439,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", type=Path, required=True, help="output path stem")
     p.add_argument(
-        "--seed", type=int, default=0, help="seed of open-chain inverse iteration"
+        "--seed", type=int, default=0, help="recorded in the output config only"
     )
 
 

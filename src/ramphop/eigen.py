@@ -1,13 +1,13 @@
 """Eigensolvers and exact matrix functionals for the chain matrices.
 
-Two solver routes are provided: an implicit-shift QL iteration for the real
-symmetric tridiagonal blocks produced by the gauge transform, whose
-eigenvectors stay componentwise accurate enough to be ungauged in log space,
-and a general complex solver for everything else.  The general solver hands
-rings and dense matrices to LAPACK; open chains get LAPACK eigenvalues of
-their gauge-similar complex-symmetric form and O(n) inverse-iteration
-eigenvectors in the physical frame.  Shifted determinants are evaluated by
-the tridiagonal continuant recurrence with a carried power-of-two exponent,
+Eigenvalues come from LAPACK through numpy: ``eigvalsh`` for the real
+symmetric gauge blocks, ``eigvals``/``eig`` for rings and dense input, and
+``eigvals`` of the gauge-similar complex-symmetric form for coupled open
+chains.  Every open-chain eigenvector, and every gauge-block eigenvector,
+comes from one O(n) kernel: Fernando's twisted factorization, carried in
+log modulus and phase so that entries far beyond floating range only cost
+underflow of the negligible ones.  Shifted determinants are evaluated by the
+tridiagonal continuant recurrence with a carried power-of-two exponent,
 including the rank-two correction for ring closures.
 """
 
@@ -19,7 +19,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .model import BandedHamiltonian
 
 _EPS = float(np.finfo(float).eps)
@@ -29,11 +28,9 @@ _LN2 = math.log(2.0)
 # Frobenius norm of the matrix being solved.
 RESIDUAL_RTOL = 1e-8
 
-# Total sweep budget per matrix, scaled by dimension.
-SWEEPS_PER_EIGENVALUE = 50
-
-_INVIT_RESTARTS = 3
-_INVIT_STEPS = 5
+# Factors per partial product of frexp mantissas: each lies in [0.5, 1), so
+# a chunk stays above 2**-512 and cannot underflow.
+_MANTISSA_CHUNK = 512
 
 
 class SpectrumSource(Enum):
@@ -47,8 +44,9 @@ class Spectrum:
 
     Eigenvalues are sorted by (real, imaginary) part; eigenvector columns
     follow the same order and carry unit 2-norm.  ``residuals`` is present
-    exactly when eigenvectors are, and entries whose inverse iteration
-    stalled are marked in ``unconverged`` rather than aborting the solve.
+    exactly when eigenvectors are, and pairs whose residual misses the
+    tolerance, or is not a number, are marked in ``unconverged`` rather than
+    aborting the solve.
     """
 
     eigenvalues: np.ndarray
@@ -67,99 +65,117 @@ class Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# symmetric tridiagonal solver (implicit-shift QL)
+# eigenvectors by twisted factorization
 # ---------------------------------------------------------------------------
 
 
-def _tqli(d: np.ndarray, e: np.ndarray, z: np.ndarray | None) -> None:
-    """Implicit-shift QL on (d, e) in place; rotations accumulated into z."""
-    n = len(d)
-    budget = SWEEPS_PER_EIGENVALUE * max(1, n)
-    sweeps = 0
-    for l in range(n):
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > budget:
-                raise ConvergenceError(
-                    f"tridiagonal QL exceeded {budget} sweeps at index {l}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:
-                    f_col = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * f_col
-                    z[:, i] = c * z[:, i] - s * f_col
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
+def _guard_pivots(p: np.ndarray, tiny: float) -> np.ndarray:
+    p[np.abs(p) < tiny] = tiny
+    return p
+
+
+def _log_polar_cumprod(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running products down axis 0 as (log modulus, unit phase).
+
+    The phase is written over ``ratios``.  A zero ratio gives log modulus
+    -inf and phase 1, so everything past an exactly vanishing bond comes
+    out exactly zero.
+    """
+    log_mag = np.abs(ratios)
+    zero = log_mag == 0.0
+    np.divide(ratios, log_mag, out=ratios, where=~zero)
+    ratios[zero] = 1.0
+    np.log(log_mag, out=log_mag, where=~zero)
+    log_mag[zero] = -np.inf
+    np.cumsum(log_mag, axis=0, out=log_mag)
+    np.cumprod(ratios, axis=0, out=ratios)
+    return log_mag, ratios
+
+
+def _twisted_vectors(diag, upper, lower, eigenvalues) -> np.ndarray:
+    """Right eigenvectors of a tridiagonal matrix, one unit column per eigenvalue.
+
+    Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
+    Dhillon & Parlett, LAA 387, 2004, as in LAPACK ``dlar1v``), for all
+    eigenvalues at once: the loop runs over sites, numpy over eigenvalues.
+    With shift a_k - lambda, the forward pivots are
+    d+_k = (a_k - lambda) - u_{k-1} l_{k-1} / d+_{k-1}, the backward pivots
+    d-_k follow the same rule from the other end, and the two meet at the
+    twist r minimising |d+_k + d-_k - (a_k - lambda)|.  From v_r = 1 the
+    vector runs outward as v_k = -u_k v_{k+1} / d+_k below the twist and
+    v_k = -l_{k-1} v_{k-1} / d-_k above it, every row but r satisfied
+    exactly.  Entries are carried as log modulus and phase and normalised
+    once at the end, so the exponential gauge profiles of the ramped chain
+    never overflow.  The pivots depend on the bond products only, which
+    makes the result the same as running on any diagonally similar form
+    and mapping back.  A pivot below eps * scale is replaced by that value.
+    """
+    n = len(diag)
+    shift = diag[:, None] - eigenvalues[None, :]
+    bonds = (upper * lower)[:, None]
+    scale = max(
+        float(np.max(np.abs(shift), initial=0.0)),
+        float(np.max(np.abs(upper), initial=0.0)),
+        float(np.max(np.abs(lower), initial=0.0)),
+    )
+    tiny = max(_EPS * scale, float(np.finfo(float).tiny))
+    fwd = np.empty_like(shift)
+    bwd = np.empty_like(shift)
+    fwd[:1] = shift[:1]
+    bwd[-1:] = shift[-1:]
+    for k in range(n - 1):
+        fwd[k + 1] = shift[k + 1] - bonds[k] / _guard_pivots(fwd[k], tiny)
+        j = n - 2 - k
+        bwd[j] = shift[j] - bonds[j] / _guard_pivots(bwd[j + 1], tiny)
+    shift -= fwd
+    shift -= bwd
+    twist = np.argmin(np.abs(shift), axis=0)
+    del shift
+    site = np.arange(n)[:, None]
+    # pivots become the ratios v_k / v_{k+1} below the twist and
+    # v_k / v_{k-1} above it, and 1 everywhere else
+    below, above = fwd, bwd
+    np.divide(-upper[:, None], fwd[:-1], out=below[:-1])
+    below[site >= twist] = 1.0
+    np.divide(-lower[:, None], bwd[1:], out=above[1:])
+    above[site <= twist] = 1.0
+    log_v, v = _log_polar_cumprod(above)
+    log_below, phase_below = _log_polar_cumprod(below[::-1])
+    log_v += log_below[::-1]
+    v *= phase_below[::-1]
+    log_v -= np.max(log_v, axis=0)
+    v *= np.exp(log_v)
+    v /= np.linalg.norm(v, axis=0)
+    return v
 
 
 def eig_sym_tridiag(block, want_vectors: bool = False) -> Spectrum:
     """Eigendecomposition of a real symmetric tridiagonal block.
 
-    Returns the spectrum of the stored real matrix (ascending); callers
-    holding an anti-symmetrizable block multiply by i themselves.
+    Eigenvalues come from LAPACK ``eigvalsh`` (ascending) and eigenvectors
+    from the twisted factorization, whose tiny components keep the relative
+    accuracy that log-domain ungauging needs.  The gauge blocks are
+    unreduced (no zero off-diagonal), so their eigenvalues are simple; a
+    repeated eigenvalue of a reduced block would get repeated vectors.
+    Returns the spectrum of the stored real matrix; callers holding an
+    anti-symmetrizable block multiply by i themselves.
     """
     diag = np.asarray(block.diag, dtype=float)
     off = np.asarray(block.offdiag, dtype=float)
     n = len(diag)
-    if n == 0:
-        return Spectrum(
-            eigenvalues=np.zeros(0, dtype=complex),
-            eigenvectors=np.zeros((0, 0), dtype=complex) if want_vectors else None,
-            residuals=np.zeros(0) if want_vectors else None,
-            source=SpectrumSource.SYM_TRIDIAG,
-        )
-    d = diag.copy()
-    e = np.zeros(n)
-    e[: n - 1] = off
-    z = np.eye(n) if want_vectors else None
-    _tqli(d, e, z)
-    order = np.argsort(d, kind="stable")
-    d = d[order]
+    dense = np.diag(diag)
+    if n > 1:
+        dense += np.diag(off, 1) + np.diag(off, -1)
+    lam = np.linalg.eigvalsh(dense)
     vectors = None
     residuals = None
     if want_vectors:
-        z = z[:, order]
-        tv = diag[:, None] * z
-        if n > 1:
-            tv[:-1] += off[:, None] * z[1:]
-            tv[1:] += off[:, None] * z[:-1]
-        residuals = np.linalg.norm(tv - z * d[None, :], axis=0)
+        z = _twisted_vectors(diag, off, off, lam) if n else np.zeros((0, 0))
+        tz = BandedHamiltonian(length=n, upper=off, lower=off).matvec(z)
+        residuals = np.linalg.norm(tz + (diag[:, None] - lam[None, :]) * z, axis=0)
         vectors = z.astype(complex)
     return Spectrum(
-        eigenvalues=d.astype(complex),
+        eigenvalues=lam.astype(complex),
         eigenvectors=vectors,
         residuals=residuals,
         source=SpectrumSource.SYM_TRIDIAG,
@@ -202,12 +218,15 @@ def _sadd(a: tuple[complex, int], b: tuple[complex, int]) -> tuple[complex, int]
 
 
 def _sprod(values: np.ndarray) -> tuple[complex, int]:
-    m, e = 1.0 + 0.0j, 0
-    for x in values:
-        m, e = _snorm(m * complex(x), e)
-        if m == 0:
-            return 0.0 + 0.0j, 0
-    return m, e
+    """Product of real factors as (mantissa, exponent); any zero gives (0, 0)."""
+    mantissas, exponents = np.frexp(values)
+    if not np.all(mantissas):
+        return 0.0 + 0.0j, 0
+    m, e = 1.0, int(np.sum(exponents, dtype=np.int64))
+    for i in range(0, len(mantissas), _MANTISSA_CHUNK):
+        m, k = math.frexp(m * float(np.prod(mantissas[i : i + _MANTISSA_CHUNK])))
+        e += k
+    return complex(m), e
 
 
 def _continuant(upper, lower, z) -> tuple[complex, int]:
@@ -322,101 +341,42 @@ def residual(h, eigenvalue: complex, v: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# linear solves for inverse iteration
+# general complex spectra
 # ---------------------------------------------------------------------------
 
 
-def _tridiag_factor(dl, d, du, safe_pivot):
-    """LU with partial pivoting of a tridiagonal matrix (LAPACK gttrf layout)."""
-    n = len(d)
-    du2 = np.zeros(max(n - 2, 0), dtype=complex)
-    swap = np.zeros(max(n - 1, 0), dtype=bool)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0:
-                d[i] = safe_pivot
-            fact = dl[i] / d[i]
-            dl[i] = fact
-            d[i + 1] = d[i + 1] - fact * du[i]
-        else:
-            swap[i] = True
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            dl[i] = fact
-            temp = du[i]
-            du[i] = d[i + 1]
-            d[i + 1] = temp - fact * d[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du[i + 1]
-    if d[n - 1] == 0:
-        d[n - 1] = safe_pivot
-    return dl, d, du, du2, swap
+def _checked(h, lam, vectors, source) -> Spectrum:
+    """Spectrum with residuals ||H v - E v||; a nan residual counts as unconverged."""
+    if isinstance(h, BandedHamiltonian):
+        hv, fro = h.matvec(vectors), h.frobenius_norm()
+    else:
+        hv, fro = h @ vectors, float(np.linalg.norm(h))
+    hv -= vectors * lam[None, :]
+    residuals = np.linalg.norm(hv, axis=0)
+    return Spectrum(
+        eigenvalues=lam,
+        eigenvectors=vectors,
+        residuals=residuals,
+        source=source,
+        unconverged=~(residuals <= RESIDUAL_RTOL * max(fro, 1e-300)),
+    )
 
 
-def _tridiag_solve(factors, rhs):
-    dl, d, du, du2, swap = factors
-    n = len(d)
-    x = rhs.astype(complex).copy()
-    for i in range(n - 1):
-        if swap[i]:
-            x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
-        else:
-            x[i + 1] = x[i + 1] - dl[i] * x[i]
-    x[n - 1] = x[n - 1] / d[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return x
+def chain_spectrum(
+    h: BandedHamiltonian, eigenvalues, want_vectors: bool, source: SpectrumSource
+) -> Spectrum:
+    """Spectrum of an open chain whose eigenvalues are already known.
 
-
-class _ShiftedBandedSolver:
-    """Apply (H - zI)^-1 for an open banded chain in O(n) by pivoted LU."""
-
-    def __init__(self, h: BandedHamiltonian, z: complex):
-        scale = max(
-            abs(z),
-            float(np.max(np.abs(h.upper), initial=0.0)),
-            float(np.max(np.abs(h.lower), initial=0.0)),
-            1e-300,
-        )
-        self._factors = _tridiag_factor(
-            h.lower.astype(complex),
-            np.full(h.length, -z, dtype=complex),
-            h.upper.astype(complex),
-            _EPS * scale,
-        )
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _tridiag_solve(self._factors, rhs)
-
-
-def _inverse_iteration(h: BandedHamiltonian, z: complex, rng, tol):
-    solver = _ShiftedBandedSolver(h, z)
-    n = h.length
-    best_res = math.inf
-    best_v = None
-    for _ in range(_INVIT_RESTARTS):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        for _ in range(_INVIT_STEPS):
-            w = solver.solve(v)
-            norm_w = float(np.linalg.norm(w))
-            if not math.isfinite(norm_w) or norm_w == 0.0:
-                break
-            v = w / norm_w
-            res = float(np.linalg.norm(h.matvec(v) - z * v))
-            if res < best_res:
-                best_res = res
-                best_v = v.copy()
-            if res <= tol:
-                return best_v, best_res, True
-    if best_v is None:
-        best_v = np.zeros(n, dtype=complex)
-        best_v[0] = 1.0
-        best_res = float(np.linalg.norm(h.matvec(best_v) - z * best_v))
-    return best_v, best_res, False
+    Sorts them by (real, imaginary) part and, when asked, adds the
+    twisted-factorization eigenvectors in the physical frame with their
+    residuals.  ``source`` names the solver the eigenvalues came from.
+    """
+    lam = np.asarray(eigenvalues, dtype=complex)
+    lam = lam[np.lexsort((lam.imag, lam.real))]
+    if not want_vectors:
+        return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None, source=source)
+    vectors = _twisted_vectors(np.zeros(h.length), h.upper, h.lower, lam)
+    return _checked(h, lam, vectors, source)
 
 
 def _symmetric_chain(h: BandedHamiltonian) -> np.ndarray:
@@ -435,62 +395,39 @@ def _symmetric_chain(h: BandedHamiltonian) -> np.ndarray:
     return a
 
 
-def eig_general(h, want_vectors: bool = False, *, seed: int = 0) -> Spectrum:
+def eig_general(h, want_vectors: bool = False) -> Spectrum:
     """Complex spectrum of a banded Hamiltonian or a dense square matrix.
 
-    Rings and dense input are handed to LAPACK (``numpy.linalg.eig``) and
-    are deterministic.  An open chain takes its eigenvalues from LAPACK on
-    the gauge-similar complex-symmetric form, and its eigenvectors from O(n)
-    inverse iteration on the chain itself with restarts drawn from ``seed``;
-    a pair that stalls is flagged in ``unconverged``, not fatal.  Residuals
-    are ||H v - E v|| against the matrix as given.
+    Rings and dense input are handed to LAPACK (``numpy.linalg.eig``).  An
+    open chain takes its eigenvalues from LAPACK on the gauge-similar
+    complex-symmetric form and its eigenvectors from the twisted
+    factorization on the chain itself.  Everything is deterministic.
+    Residuals are ||H v - E v|| against the matrix as given, and a pair
+    that misses the tolerance is flagged in ``unconverged``, not fatal.
     """
     banded = isinstance(h, BandedHamiltonian)
+    chain = banded and not h.is_pbc
     if banded:
-        fro = h.frobenius_norm()
-        dense = h.to_dense() if h.is_pbc else _symmetric_chain(h)
+        dense = _symmetric_chain(h) if chain else h.to_dense()
     else:
         dense = np.asarray(h, dtype=complex)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("matrix must be square")
         if dense.shape[0] < 1:
             raise ValueError("matrix dimension must be >= 1")
-        fro = float(np.linalg.norm(dense))
     if not dense.imag.any():
         # a real matrix keeps its spectrum exactly closed under conjugation
         dense = dense.real
-    n = dense.shape[0]
-    inverse_iterate = want_vectors and banded and not h.is_pbc
-    vectors = None
-    if want_vectors and not inverse_iterate:
+    source = SpectrumSource.GENERAL_QR
+    if chain:
+        return chain_spectrum(h, np.linalg.eigvals(dense), want_vectors, source)
+    if want_vectors:
         lam, vectors = np.linalg.eig(dense)
     else:
-        lam = np.linalg.eigvals(dense)
-    lam = lam.astype(complex)
+        lam, vectors = np.linalg.eigvals(dense), None
     order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    residuals = None
-    unconverged = np.zeros(n, dtype=bool)
-    if want_vectors:
-        tol = RESIDUAL_RTOL * max(fro, 1e-300)
-        if inverse_iterate:
-            rng = np.random.default_rng(seed)
-            vectors = np.empty((n, n), dtype=complex)
-            residuals = np.empty(n)
-            for i, z in enumerate(lam):
-                v, res, ok = _inverse_iteration(h, complex(z), rng, tol)
-                vectors[:, i] = v
-                residuals[i] = res
-                unconverged[i] = not ok
-        else:
-            vectors = vectors[:, order].astype(complex)
-            hv = h.matvec(vectors) if banded else dense @ vectors
-            residuals = np.linalg.norm(hv - vectors * lam[None, :], axis=0)
-            unconverged = residuals > tol
-    return Spectrum(
-        eigenvalues=lam,
-        eigenvectors=vectors,
-        residuals=residuals,
-        source=SpectrumSource.GENERAL_QR,
-        unconverged=unconverged,
-    )
+    lam = lam[order].astype(complex)
+    if vectors is None:
+        return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None, source=source)
+    vectors = vectors[:, order].astype(complex)
+    return _checked(h if banded else dense, lam, vectors, source)

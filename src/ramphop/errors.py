@@ -2,7 +2,7 @@
 
 
 class ConvergenceError(RuntimeError):
-    """An eigenvalue iteration exhausted its sweep budget."""
+    """Eigenpairs missed the residual tolerance."""
 
 
 class DegenerateBondError(ValueError):

@@ -229,19 +229,12 @@ def balanced_form(params: LatticeParams) -> tuple[np.ndarray, GaugeVector]:
     return entries, gauge
 
 
-def ungauge(
-    gauge: GaugeVector,
-    transformed_vec: np.ndarray,
-    *,
-    log_scale: np.ndarray | float = 0.0,
-) -> np.ndarray:
+def ungauge(gauge: GaugeVector, transformed_vec: np.ndarray) -> np.ndarray:
     """Map a gauge-space vector back to the physical chain, v_j = d_j * w_j.
 
     Evaluated in the log domain and rescaled to unit maximum amplitude, so
     gauge factors far beyond floating range only cost underflow of the
-    correspondingly negligible components.  ``log_scale`` shifts the log
-    magnitudes (scalar or per site) for callers that carry pieces of a
-    vector at different scales.
+    correspondingly negligible components.
     """
     w = np.asarray(transformed_vec, dtype=complex)
     if w.shape != (gauge.length,):
@@ -252,7 +245,7 @@ def ungauge(
         raise OverflowError("non-finite components in transformed vector")
     amp = np.abs(w)
     log_v = np.log(amp, out=np.full(gauge.length, -np.inf), where=amp > 0.0)
-    log_v = log_v + gauge.log_mag + log_scale
+    log_v = log_v + gauge.log_mag
     if not np.any(np.isfinite(log_v)):
         raise ValueError("cannot ungauge a zero vector")
     shift = np.max(log_v[np.isfinite(log_v)])

@@ -80,6 +80,22 @@ class TestSpectrumCommand:
         assert max(float(r["residual"]) for r in rows) <= tol
 
 
+class TestLongOpenChains:
+    def test_integer_split_residuals_are_finite_and_small(self, tmp_path):
+        out = tmp_path / "split"
+        assert run(["spectrum", "--gamma", "0.01", "--length", "1000", "--out", out]) == 0
+        rows = read_csv(tmp_path / "split_spectrum.csv")
+        assert len(rows) == 1000
+        params = LatticeParams(t=1.0, gamma=0.01, length=1000)
+        tol = RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()
+        residuals = np.array([float(r["residual"]) for r in rows])
+        assert np.all(residuals <= tol)  # a nan residual fails this too
+
+    def test_coupled_chain_converges(self, tmp_path):
+        out = tmp_path / "coupled"
+        assert run(["spectrum", "--gamma", "0.00123", "--length", "1000", "--out", out]) == 0
+
+
 class TestSweepCommand:
     def test_single_point_grid_matches_spectrum_command(self, tmp_path):
         run(["spectrum", "--gamma", "0.25", "--length", "12", "--out", tmp_path / "s"])
@@ -277,6 +293,25 @@ def test_convergence_failures_exit_three(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "solve_spectrum", boom)
     assert run(["spectrum", "--gamma", "0.01", "--length", "20", "--out", tmp_path / "x"]) == 3
+
+
+def test_exit_three_names_the_failed_solve(tmp_path, monkeypatch, capsys):
+    import ramphop.cli as cli
+
+    real_solve = cli.solve_spectrum
+
+    def one_flagged(params, *args, **kwargs):
+        spec = real_solve(params, *args, **kwargs)
+        spec.unconverged[3] = True
+        return spec
+
+    monkeypatch.setattr(cli, "solve_spectrum", one_flagged)
+    for command in ("spectrum", "states"):
+        out = tmp_path / command
+        assert run([command, "--gamma", "0.01", "--length", "20", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "1 of 20 eigenpairs" in err
+        assert "gamma=0.01" in err and "L=20" in err and "boundary=obc" in err
 
 
 def test_invalid_length_exit_two(tmp_path):

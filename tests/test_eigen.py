@@ -18,7 +18,7 @@ from ramphop import (
     solve_spectrum,
     spectral_moments,
 )
-from ramphop.eigen import RESIDUAL_RTOL, SpectrumSource
+from ramphop.eigen import RESIDUAL_RTOL, SpectrumSource, _snorm, _sprod
 from _oracles import charpoly, contour_roots, dense_matrix, max_pairing_gap
 
 
@@ -97,7 +97,7 @@ class TestGeneralSolver:
         assert np.min(np.abs(lam)) > 1e-3  # encircles but avoids the origin
         assert np.max(np.abs(lam.imag)) > 1e-3  # genuinely off the real axis
 
-    def test_eigenvectors_by_inverse_iteration(self):
+    def test_open_chain_eigenvectors_by_twisted_factorization(self):
         params = LatticeParams(t=1.0, gamma=0.013, length=60)
         h = build_hamiltonian(params)
         spec = eig_general(h, want_vectors=True)
@@ -107,8 +107,8 @@ class TestGeneralSolver:
     def test_seeded_runs_are_reproducible(self):
         params = LatticeParams(t=1.0, gamma=0.3, length=12, boundary=Boundary.PBC)
         h = build_hamiltonian(params)
-        s1 = eig_general(h, want_vectors=True, seed=3)
-        s2 = eig_general(h, want_vectors=True, seed=3)
+        s1 = eig_general(h, want_vectors=True)
+        s2 = eig_general(h, want_vectors=True)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
@@ -159,6 +159,45 @@ class TestDeterminant:
         # roundoff of either determinant scales with the Hadamard bound
         hadamard = float(np.prod(np.linalg.norm(shifted, axis=1)))
         assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12 * max(1.0, hadamard))
+
+
+    def test_long_ring_past_the_mantissa_chunk(self):
+        # 1199 bonds span three mantissa chunks of the bond products, and the
+        # corner product outweighs the continuant by about e^354
+        length = 1200
+        h = build_hamiltonian(
+            LatticeParams(t=1.0, gamma=0.0005, length=length, boundary=Boundary.PBC)
+        )
+        z = 0.05j
+        det = det_shifted(h, z)
+        sign, log_abs = np.linalg.slogdet(h.to_dense() - z * np.eye(length))
+        assert det.log_abs == pytest.approx(log_abs, rel=1e-13)
+        assert abs(det.phase - sign) < 1e-12
+
+
+def _sprod_loop(values):
+    """Reference: the factor-by-factor scaled product."""
+    m, e = 1.0 + 0.0j, 0
+    for x in values:
+        m, e = _snorm(m * complex(x), e)
+        if m == 0:
+            return 0.0 + 0.0j, 0
+    return m, e
+
+
+@pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 2000])
+def test_chunked_product_matches_the_loop(length):
+    rng = np.random.default_rng(length)
+    values = rng.choice([-1.0, 1.0], length) * np.exp(rng.uniform(-3.0, 3.0, length))
+    m, e = _sprod(values)
+    m_ref, e_ref = _sprod_loop(values)
+    log_abs = math.log(abs(m)) + e * math.log(2.0)
+    log_ref = math.log(abs(m_ref)) + e_ref * math.log(2.0)
+    assert log_abs == pytest.approx(log_ref, rel=1e-12, abs=1e-12)
+    assert np.sign(m.real) == np.sign(m_ref.real) and m.imag == 0.0
+    if length:
+        values[length // 2] = 0.0
+        assert _sprod(values) == _sprod_loop(values) == (0.0, 0)
 
 
 class TestMoments:
@@ -256,9 +295,10 @@ def test_long_ring_spectrum_meets_the_trace_identities():
 
 
 def test_long_open_chain_eigenvectors_all_converge():
-    # integer split at 100: both gauge blocks' QL eigenvectors are ungauged
-    # in log space, and only their componentwise accuracy keeps every pair
-    # within tolerance (LAPACK eigh vectors stall here)
+    # integer split at 100: the twisted-factorization vectors carry the
+    # exponential gauge profile in log space, and only their componentwise
+    # accuracy keeps every pair within tolerance (LAPACK eigh vectors of the
+    # gauge blocks, ungauged, stall here)
     params = LatticeParams(t=1.0, gamma=0.01, length=200)
     spec = solve_spectrum(params, want_vectors=True)
     assert not np.any(spec.unconverged)

@@ -13,6 +13,7 @@ from ramphop import (
     eig_general,
     solve_spectrum,
 )
+from ramphop.eigen import RESIDUAL_RTOL
 from _oracles import max_pairing_gap
 
 
@@ -73,6 +74,23 @@ def test_integer_split_counts_follow_the_block_sizes():
         extra_zero = 1 if (length - m) % 2 == 1 else 0
         assert cs.counts.n_real == m + extra_zero
         assert cs.counts.n_imaginary == length - m - extra_zero
+
+
+def test_odd_odd_integer_split_lists_its_jordan_zero_level_twice():
+    # blocks of 5 and 95 sites each hold a zero level; rank H = 99 and
+    # rank H^2 = 98 make the pair one 2x2 Jordan block with one eigenvector
+    params = LatticeParams(t=1.0, gamma=0.2, length=100)
+    h = build_hamiltonian(params)
+    dense = h.to_dense()
+    assert np.linalg.matrix_rank(dense) == 99
+    assert np.linalg.matrix_rank(dense @ dense) == 98
+    spec = solve_spectrum(params, want_vectors=True)
+    assert not np.any(spec.unconverged)
+    assert np.max(spec.residuals) <= RESIDUAL_RTOL * h.frobenius_norm()
+    zero = np.argsort(np.abs(spec.eigenvalues))[:2]
+    assert np.max(np.abs(spec.eigenvalues[zero])) < 1e-12
+    v0, v1 = spec.eigenvectors[:, zero].T
+    assert abs(np.vdot(v0, v1)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_block_spectra_shapes_and_reality():
