@@ -1,19 +1,22 @@
 """Command-line front end: spectra, sweeps, state profiles, windings, figures.
 
-Exit codes: 0 success, 2 invalid arguments, 3 solver convergence failure,
-4 winding base point on the spectrum.  Identical arguments produce
-byte-identical output files; sweeps parallelize over gamma without touching
-the output order.
+Exit codes: 0 success, 2 invalid arguments, 3 solver failure (missed
+residual tolerance or a LAPACK non-convergence), 4 winding base point on the
+spectrum.  A sweep point whose solve fails becomes a ``failed`` row instead.
+Identical arguments produce byte-identical output files; sweeps parallelize
+over gamma without touching the output order.  ``figure ID`` parses and runs
+the ``spectrum``/``states``/``sweep`` command lines its panel recipe lists,
+with the same parser and runners as a user's own command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +45,9 @@ from .solve import block_spectra, solve_spectrum
 # choice: 0.015 pushes more levels imaginary, with some ring levels turning
 # imaginary as well.
 FIGURES: dict[str, dict] = {
-    "1a": {"gamma": 0.01, "length": 100, "spectrum": True, "blocks": True},
-    "1b": {"gamma": 0.02, "length": 100, "spectrum": True, "blocks": True},
-    "1c": {"gamma": 0.07, "length": 100, "spectrum": True, "blocks": True},
+    "1a": {"gamma": 0.01, "length": 100, "spectrum": True},
+    "1b": {"gamma": 0.02, "length": 100, "spectrum": True},
+    "1c": {"gamma": 0.07, "length": 100, "spectrum": True},
     "2a": {"length": 100, "sweep": (0.0, 1.2, 241)},
     "2b": {"length": 100, "sweep": (0.0, 1.2, 241)},
     "2c": {"gamma": 0.001, "length": 100, "spectrum": True},
@@ -63,37 +66,21 @@ FIGURES: dict[str, dict] = {
 _CLASS_ORDER = {EigenClass.REAL: 0, EigenClass.IMAGINARY: 1, EigenClass.COMPLEX: 2}
 
 
-@dataclass
-class RunConfig:
-    t: float = 1.0
-    gamma: float = 0.0
-    length: int = 100
-    boundary: Boundary = Boundary.OBC
-    fmt: str = "csv"
-    out: Path = field(default_factory=lambda: Path("out"))
-    seed: int = 0
-    gamma_min: float = 0.0
-    gamma_max: float = 0.0
-    gamma_steps: int = 1
-    workers: int = 1
-    base: complex = 0.0 + 0.0j
-    theta_steps: int = 256
-    select: str = "all"
+def _params(args: argparse.Namespace) -> LatticeParams:
+    return LatticeParams(
+        t=args.t, gamma=args.gamma, length=args.length, boundary=Boundary(args.boundary)
+    )
 
-    def params(self) -> LatticeParams:
-        return LatticeParams(
-            t=self.t, gamma=self.gamma, length=self.length, boundary=self.boundary
-        )
 
-    def config_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "gamma": self.gamma,
-            "length": self.length,
-            "boundary": self.boundary.value,
-            "format": self.fmt,
-            "seed": self.seed,
-        }
+def _config(args: argparse.Namespace) -> dict:
+    return {
+        "t": args.t,
+        "gamma": args.gamma,
+        "length": args.length,
+        "boundary": args.boundary,
+        "format": args.format,
+        "seed": args.seed,
+    }
 
 
 def _regime_dict(params: LatticeParams) -> dict:
@@ -129,46 +116,41 @@ def _solve_with_vectors(params: LatticeParams):
     return spec
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    params = cfg.params()
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    params = _params(args)
     spec = _solve_with_vectors(params)
     cs = classify(spec)
-    blocks = None
-    if params.boundary is Boundary.OBC:
+    chain = params.boundary is Boundary.OBC
+    if chain:
         sigma_a, sigma_b = block_spectra(params)
         tol = 1e-8 * build_hamiltonian(params).frobenius_norm()
-        union = np.concatenate([sigma_a.astype(complex), sigma_b])
-        mismatch = bool(
-            len(union)
-            and max(np.min(np.abs(spec.eigenvalues - v)) for v in union) > tol
-        )
-        blocks = (sigma_a, sigma_b, tol, mismatch)
-    if cfg.fmt == "csv":
+        sorted_a = np.sort_complex(sigma_a.astype(complex))
+        sorted_b = np.sort_complex(sigma_b)
+        # Whether each sorted block level lies within tol of the spectrum.
+        union = np.concatenate([sorted_a, sorted_b])
+        matched = np.abs(spec.eigenvalues[None, :] - union[:, None]).min(axis=1) <= tol
+    if args.format == "csv":
         rio.write_spectrum_csv(
-            Path(f"{cfg.out}_spectrum.csv"), cs, spec.residuals
+            Path(f"{args.out}_spectrum.csv"), cs, spec.residuals
         )
-        if blocks is not None:
+        if chain:
             rio.write_blocks_csv(
-                Path(f"{cfg.out}_blocks.csv"),
-                blocks[0],
-                blocks[1],
-                spec.eigenvalues,
-                blocks[2],
+                Path(f"{args.out}_blocks.csv"), sorted_a, sorted_b, matched
             )
     else:
         doc = {
-            "config": cfg.config_dict(),
+            "config": _config(args),
             "regime": _regime_dict(params),
             "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
             "analysis": {"ladder": _ladder_json(cs)},
         }
-        if blocks is not None:
+        if chain:
             doc["blocks"] = {
-                "sigma_a": [float(v) for v in blocks[0]],
-                "sigma_b": [{"re": v.real, "im": v.imag} for v in blocks[1]],
-                "mismatch": blocks[3],
+                "sigma_a": [float(v) for v in sigma_a],
+                "sigma_b": [{"re": v.real, "im": v.imag} for v in sigma_b],
+                "mismatch": not matched.all(),
             }
-        rio.write_json(Path(f"{cfg.out}.json"), doc)
+        rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
 
 
@@ -190,58 +172,54 @@ def _sweep_rows_for(cs, gamma: float) -> list[dict]:
     ]
 
 
-def _sweep_point(task: tuple[float, float, int, str]) -> tuple[str, float, list[dict]]:
+def _sweep_point(task: tuple[float, float, int, str]) -> list[dict]:
     t, gamma, length, boundary = task
+    params = LatticeParams(t=t, gamma=gamma, length=length, boundary=Boundary(boundary))
     try:
-        params = LatticeParams(t=t, gamma=gamma, length=length, boundary=Boundary(boundary))
         cs = classify(solve_spectrum(params))
-        return "ok", gamma, _sweep_rows_for(cs, gamma)
-    except ConvergenceError:
-        return "failed", gamma, []
+    except (ConvergenceError, np.linalg.LinAlgError):
+        return [
+            {
+                "gamma": gamma,
+                "eigen_index": -1,
+                "re": math.nan,
+                "im": math.nan,
+                "class": "failed",
+                "n_real": -1,
+                "n_imaginary": -1,
+            }
+        ]
+    return _sweep_rows_for(cs, gamma)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.gamma_steps < 1:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.gamma_steps < 1:
         raise ValueError("gamma grid needs at least one point")
-    if cfg.gamma_steps == 1:
-        grid = np.array([cfg.gamma_min])
+    if args.gamma_steps == 1:
+        grid = np.array([args.gamma_min])
     else:
-        grid = np.linspace(cfg.gamma_min, cfg.gamma_max, cfg.gamma_steps)
-    tasks = [(cfg.t, float(g), cfg.length, cfg.boundary.value) for g in grid]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
+    tasks = [(args.t, float(g), args.length, args.boundary) for g in grid]
+    workers = args.workers or _default_workers()
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(task) for task in tasks]
-    rows: list[dict] = []
-    for status, gamma, point_rows in results:
-        if status == "failed":
-            rows.append(
-                {
-                    "gamma": gamma,
-                    "eigen_index": -1,
-                    "re": math.nan,
-                    "im": math.nan,
-                    "class": "failed",
-                    "n_real": -1,
-                    "n_imaginary": -1,
-                }
-            )
-        else:
-            rows.extend(point_rows)
-    if cfg.fmt == "csv":
-        rio.write_sweep_csv(Path(f"{cfg.out}_sweep.csv"), rows)
+    rows = [row for point_rows in results for row in point_rows]
+    if args.format == "csv":
+        rio.write_sweep_csv(Path(f"{args.out}_sweep.csv"), rows)
     else:
         doc = {
-            "config": cfg.config_dict()
+            "config": _config(args)
             | {
-                "gamma_min": cfg.gamma_min,
-                "gamma_max": cfg.gamma_max,
-                "gamma_steps": cfg.gamma_steps,
+                "gamma_min": args.gamma_min,
+                "gamma_max": args.gamma_max,
+                "gamma_steps": args.gamma_steps,
             },
             "rows": rows,
         }
-        rio.write_json(Path(f"{cfg.out}.json"), doc)
+        rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
 
 
@@ -267,13 +245,13 @@ def _select_states(cs, eigenvalues: np.ndarray, select: str) -> list[int]:
     return [i for i, e in enumerate(cs.entries) if e.label is wanted]
 
 
-def cmd_states(cfg: RunConfig) -> int:
-    params = cfg.params()
+def cmd_states(args: argparse.Namespace) -> int:
+    params = _params(args)
     spec = _solve_with_vectors(params)
     cs = classify(spec)
-    picked = _select_states(cs, spec.eigenvalues, cfg.select)
+    picked = _select_states(cs, spec.eigenvalues, args.select)
     if not picked:
-        raise ValueError(f"selection {cfg.select!r} matched no states")
+        raise ValueError(f"selection {args.select!r} matched no states")
     amps = np.abs(spec.eigenvectors[:, picked])
     profiles = amps / amps.max(axis=0)[None, :]
     summary = []
@@ -306,15 +284,15 @@ def cmd_states(cfg: RunConfig) -> int:
         env_fit_peak = fit_envelope(envelope, params.gamma, center=peak_site)
     except DegenerateSupportError:
         env_fit = env_fit_peak = None
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rio.write_states_csv(
-            Path(f"{cfg.out}_states.csv"), spec.eigenvalues[picked], profiles
+            Path(f"{args.out}_states.csv"), spec.eigenvalues[picked], profiles
         )
-        rio.write_states_summary_csv(Path(f"{cfg.out}_summary.csv"), summary)
-        rio.write_envelope_csv(Path(f"{cfg.out}_envelope.csv"), envelope)
+        rio.write_states_summary_csv(Path(f"{args.out}_summary.csv"), summary)
+        rio.write_envelope_csv(Path(f"{args.out}_envelope.csv"), envelope)
     else:
         doc = {
-            "config": cfg.config_dict() | {"select": cfg.select},
+            "config": _config(args) | {"select": args.select},
             "regime": _regime_dict(params),
             "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
             "states": [
@@ -335,22 +313,23 @@ def cmd_states(cfg: RunConfig) -> int:
                 },
             },
         }
-        rio.write_json(Path(f"{cfg.out}.json"), doc)
+        rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
 
 
-def cmd_winding(cfg: RunConfig) -> int:
-    params = cfg.params()
-    trace = winding_trace(params, cfg.base, cfg.theta_steps)
-    if cfg.fmt == "csv":
-        rio.write_winding_csv(Path(f"{cfg.out}_winding.csv"), trace, cfg.base)
+def cmd_winding(args: argparse.Namespace) -> int:
+    params = _params(args)
+    base = complex(args.base_re, args.base_im)
+    trace = winding_trace(params, base, args.theta_steps)
+    if args.format == "csv":
+        rio.write_winding_csv(Path(f"{args.out}_winding.csv"), trace, base)
     else:
         doc = {
-            "config": cfg.config_dict()
+            "config": _config(args)
             | {
-                "base_re": cfg.base.real,
-                "base_im": cfg.base.imag,
-                "theta_steps": cfg.theta_steps,
+                "base_re": args.base_re,
+                "base_im": args.base_im,
+                "theta_steps": args.theta_steps,
             },
             "regime": _regime_dict(params),
             "analysis": {
@@ -363,67 +342,60 @@ def cmd_winding(cfg: RunConfig) -> int:
                 }
             },
         }
-        rio.write_json(Path(f"{cfg.out}.json"), doc)
+        rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
 
 
-def cmd_figure(cfg: RunConfig, figure_id: str) -> int:
+def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """Run the command lines behind one panel, then record them."""
+    figure_id = args.figure_id
     if figure_id not in FIGURES:
         raise ValueError(
             f"unknown figure id {figure_id!r}; know {sorted(FIGURES)}"
         )
     recipe = FIGURES[figure_id]
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    workers = args.workers or _default_workers()
+    args.out.mkdir(parents=True, exist_ok=True)
     t = recipe.get("t", 1.0)
     length = recipe["length"]
-    commands: list[str] = []
-
-    def sub(gamma: float, boundary: Boundary, stem: str) -> RunConfig:
-        return RunConfig(
-            t=t,
-            gamma=gamma,
-            length=length,
-            boundary=boundary,
-            fmt=cfg.fmt,
-            out=outdir / f"{figure_id}_{stem}",
-            seed=cfg.seed,
-        )
-
+    shared = [f"--t={t!r}", f"--length={length}", f"--format={args.format}", f"--seed={args.seed}"]
+    runs: dict[str, list[str]] = {}  # description -> command line
     if "sweep" in recipe:
         lo, hi, steps = recipe["sweep"]
-        scfg = sub(0.0, Boundary.OBC, "gamma")
-        scfg.gamma_min, scfg.gamma_max, scfg.gamma_steps = lo, hi, steps
-        scfg.workers = cfg.workers
-        cmd_sweep(scfg)
-        commands.append(f"sweep gamma in [{lo}, {hi}] with {steps} points")
-    if recipe.get("spectrum"):
-        cmd_spectrum(sub(recipe["gamma"], Boundary.OBC, "obc"))
-        commands.append("obc spectrum")
-    if recipe.get("pbc_spectrum"):
-        cmd_spectrum(sub(recipe["gamma"], Boundary.PBC, "pbc"))
-        commands.append("pbc spectrum")
-    if recipe.get("states"):
-        scfg = sub(recipe["gamma"], Boundary.OBC, "obc")
-        scfg.select = recipe["states"]
-        cmd_states(scfg)
-        commands.append(f"obc states ({recipe['states']})")
-    if recipe.get("pbc_states"):
-        scfg = sub(recipe["gamma"], Boundary.PBC, "pbc")
-        scfg.select = recipe["pbc_states"]
-        cmd_states(scfg)
-        commands.append(f"pbc states ({recipe['pbc_states']})")
+        runs[f"sweep gamma in [{lo}, {hi}] with {steps} points"] = [
+            "sweep", f"--gamma-min={lo!r}", f"--gamma-max={hi!r}", f"--gamma-steps={steps}",
+            f"--workers={workers}", *shared, f"--out={args.out / f'{figure_id}_gamma'}",
+        ]
+    for key, command, boundary in (
+        ("spectrum", "spectrum", "obc"),
+        ("pbc_spectrum", "spectrum", "pbc"),
+        ("states", "states", "obc"),
+        ("pbc_states", "states", "pbc"),
+    ):
+        value = recipe.get(key)
+        if not value:
+            continue
+        argv = [command, f"--boundary={boundary}", f"--gamma={recipe['gamma']!r}", *shared,
+                f"--out={args.out / f'{figure_id}_{boundary}'}"]
+        description = f"{boundary} {command}"
+        if command == "states":
+            argv.append(f"--select={value}")
+            description += f" ({value})"
+        runs[description] = argv
+    for argv in runs.values():
+        sub_args = parser.parse_args(argv)
+        sub_args.runner(sub_args)
     rio.write_json(
-        outdir / f"{figure_id}_params.json",
+        args.out / f"{figure_id}_params.json",
         {
             "figure": figure_id,
             "t": t,
             "gamma": recipe.get("gamma"),
             "length": length,
             "sweep": recipe.get("sweep"),
-            "commands": commands,
-            "format": cfg.fmt,
-            "seed": cfg.seed,
+            "commands": list(runs),
+            "format": args.format,
+            "seed": args.seed,
         },
     )
     return 0
@@ -452,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="classified eigenvalues plus block overlay")
     _add_common(p)
-    p.set_defaults(runner="spectrum")
+    p.set_defaults(runner=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="classified spectra over a gamma grid")
     _add_common(p)
@@ -465,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="parallel workers (default: RAMPHOP_WORKERS or cpu count)",
     )
-    p.set_defaults(runner="sweep")
+    p.set_defaults(runner=cmd_sweep)
 
     p = sub.add_parser("states", help="eigenstate profiles and envelope fits")
     _add_common(p)
@@ -474,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="real | imag | all | nearest=RE,IM",
     )
-    p.set_defaults(runner="states")
+    p.set_defaults(runner=cmd_states)
 
     p = sub.add_parser("winding", help="flux-insertion winding of det(H - E)")
     _add_common(p)
     p.add_argument("--base-re", type=float, default=0.0)
     p.add_argument("--base-im", type=float, default=0.0)
     p.add_argument("--theta-steps", type=int, default=256)
-    p.set_defaults(runner="winding")
+    p.set_defaults(runner=cmd_winding)
 
     p = sub.add_parser("figure", help="reproduce the data behind one figure panel")
     p.add_argument("figure_id", help="e.g. 1a, 2d, 3b, 5a")
@@ -489,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(runner="figure")
+    p.set_defaults(runner=functools.partial(cmd_figure, parser=parser))
 
     return parser
 
@@ -501,46 +473,12 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        t=getattr(args, "t", 1.0),
-        gamma=getattr(args, "gamma", 0.0),
-        length=getattr(args, "length", 100),
-        boundary=Boundary(getattr(args, "boundary", "obc")),
-        fmt=args.format,
-        out=args.out,
-        seed=args.seed,
-    )
-    if args.runner == "sweep":
-        cfg.gamma_min = args.gamma_min
-        cfg.gamma_max = args.gamma_max
-        cfg.gamma_steps = args.gamma_steps
-        cfg.workers = args.workers if args.workers else _default_workers()
-    if args.runner == "states":
-        cfg.select = args.select
-    if args.runner == "winding":
-        cfg.base = complex(args.base_re, args.base_im)
-        cfg.theta_steps = args.theta_steps
-    if args.runner == "figure":
-        cfg.workers = args.workers if args.workers else _default_workers()
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.runner == "figure":
-            return cmd_figure(cfg, args.figure_id)
-        runner = {
-            "spectrum": cmd_spectrum,
-            "sweep": cmd_sweep,
-            "states": cmd_states,
-            "winding": cmd_winding,
-        }[args.runner]
-        return runner(cfg)
-    except ConvergenceError as exc:
+        return args.runner(args)
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except BasePointOnSpectrumError as exc:

@@ -167,39 +167,27 @@ def hermitize(params: LatticeParams) -> BlockDecomposition:
     h = build_hamiltonian(params)
     n = params.length
     split = _split_site(regime)
-
-    if regime.kind in (RegimeKind.HERMITIAN, RegimeKind.FULLY_HERMITIZABLE):
-        off = np.sign(h.upper) * np.sqrt(h.upper * h.lower)
-        return BlockDecomposition(
-            block_a=SymTridiag(np.zeros(n), off),
-            block_b=SymTridiag(np.zeros(0), np.zeros(0), imaginary_unit=True),
-            coupling=BlockCoupling(0.0, 0.0),
-            decoupled=True,
-        )
-    if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE:
-        off = np.sign(h.upper) * np.sqrt(np.abs(h.upper * h.lower))
-        return BlockDecomposition(
-            block_a=SymTridiag(np.zeros(0), np.zeros(0)),
-            block_b=SymTridiag(np.zeros(n), off, imaginary_unit=True),
-            coupling=BlockCoupling(0.0, 0.0),
-            decoupled=True,
-        )
-
-    p = split
-    off_a = np.sign(h.upper[: p - 1]) * np.sqrt(h.upper[: p - 1] * h.lower[: p - 1])
-    off_b = np.sign(h.upper[p:]) * np.sqrt(np.abs(h.upper[p:] * h.lower[p:]))
-    gauge = gauge_vector(params)
-    d_split = np.exp(gauge.log_mag[p - 1])  # d at site p (1-indexed), real positive
-    a = h.upper[p - 1] / d_split
-    if regime.kind is RegimeKind.INTEGER_SPLIT:
-        b = 0.0  # backward amplitude t - gamma*m vanishes at the split
+    off = np.sign(h.upper) * np.sqrt(np.abs(h.upper * h.lower))
+    # Block A holds sites 1..p: all of a symmetrizable chain, none of an
+    # anti-symmetrizable one.  Bond p joins the blocks and belongs to neither.
+    if split is None:
+        p = 0 if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE else n
+        coupling = BlockCoupling(0.0, 0.0)
     else:
-        b = h.lower[p - 1] * d_split
+        p = split
+        gauge = gauge_vector(params)
+        d_split = np.exp(gauge.log_mag[p - 1])  # d at site p (1-indexed), real positive
+        a = h.upper[p - 1] / d_split
+        if regime.kind is RegimeKind.INTEGER_SPLIT:
+            b = 0.0  # backward amplitude t - gamma*m vanishes at the split
+        else:
+            b = h.lower[p - 1] * d_split
+        coupling = BlockCoupling(float(a), float(b))
     return BlockDecomposition(
-        block_a=SymTridiag(np.zeros(p), off_a),
-        block_b=SymTridiag(np.zeros(n - p), off_b, imaginary_unit=True),
-        coupling=BlockCoupling(float(a), float(b)),
-        decoupled=regime.kind is RegimeKind.INTEGER_SPLIT,
+        block_a=SymTridiag(np.zeros(p), off[: max(p - 1, 0)]),
+        block_b=SymTridiag(np.zeros(n - p), off[p:], imaginary_unit=True),
+        coupling=coupling,
+        decoupled=regime.decoupled,
     )
 
 

@@ -48,23 +48,16 @@ def write_spectrum_csv(
 
 
 def write_blocks_csv(
-    path: Path,
-    sigma_a: np.ndarray,
-    sigma_b: np.ndarray,
-    full_values: np.ndarray,
-    tolerance: float,
+    path: Path, sigma_a: np.ndarray, sigma_b: np.ndarray, matched: np.ndarray
 ) -> None:
-    """Block spectra next to a flag telling whether each value shows up in
-    the full spectrum within tolerance."""
+    """Sorted block spectra next to a flag telling whether each value shows
+    up in the full spectrum; ``matched`` holds the flags of sigma_a, then
+    those of sigma_b."""
     lines = ["block,index,re,im,matched"]
-    for name, values in (("a", sigma_a.astype(complex)), ("b", sigma_b)):
-        for i, v in enumerate(np.sort_complex(values)):
-            matched = (
-                int(np.min(np.abs(full_values - v)) <= tolerance)
-                if len(full_values)
-                else 0
-            )
-            lines.append(f"{name},{i},{_f(v.real)},{_f(v.imag)},{matched}")
+    rows = [("a", i, v) for i, v in enumerate(sigma_a)]
+    rows += [("b", i, v) for i, v in enumerate(sigma_b)]
+    for (name, i, v), flag in zip(rows, matched, strict=True):
+        lines.append(f"{name},{i},{_f(v.real)},{_f(v.imag)},{int(flag)}")
     _write(path, lines)
 
 

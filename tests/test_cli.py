@@ -258,6 +258,35 @@ class TestFigureCommand:
         assert "3b_pbc_spectrum.csv" in made
         assert "3b_obc_states.csv" in made
 
+    # The command lines each panel's params file lists, in its order.
+    PANEL_COMMANDS = {
+        "3b": [
+            ["spectrum", "--gamma", "0.011", "--length", "100", "--out", "3b_obc"],
+            ["spectrum", "--boundary", "pbc", "--gamma", "0.011", "--length", "100",
+             "--out", "3b_pbc"],
+            ["states", "--gamma", "0.011", "--length", "100", "--select", "all",
+             "--out", "3b_obc"],
+        ],
+        "2f": [
+            ["states", "--boundary", "pbc", "--gamma", "0.001", "--length", "100",
+             "--select", "all", "--out", "2f_pbc"],
+        ],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("panel", ["3b", "2f"])
+    def test_panel_is_the_commands_it_lists(self, tmp_path, panel, fmt):
+        assert run(["figure", panel, "--format", fmt, "--out", tmp_path / "fig"]) == 0
+        by_hand = tmp_path / "cmd"
+        by_hand.mkdir()
+        for argv in self.PANEL_COMMANDS[panel]:
+            argv = argv[:-1] + [by_hand / argv[-1], "--format", fmt]
+            assert run(argv) == 0
+        figure_files = {p.name for p in (tmp_path / "fig").iterdir()}
+        assert figure_files - {f"{panel}_params.json"} == {p.name for p in by_hand.iterdir()}
+        for path in by_hand.iterdir():
+            assert path.read_bytes() == (tmp_path / "fig" / path.name).read_bytes()
+
 
 def test_sweep_records_failed_points_and_continues(tmp_path, monkeypatch):
     import ramphop.cli as cli
@@ -283,6 +312,40 @@ def test_sweep_records_failed_points_and_continues(tmp_path, monkeypatch):
     assert failed[0]["eigen_index"] == "-1"
     healthy = [r for r in rows if r["class"] != "failed"]
     assert len(healthy) == 2 * 20
+
+
+def test_sweep_records_lapack_failure_as_a_failed_row(tmp_path, monkeypatch):
+    import ramphop.cli as cli
+
+    real_solve = cli.solve_spectrum
+
+    def no_convergence_at_002(params, *args, **kwargs):
+        if abs(params.gamma - 0.02) < 1e-12:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_spectrum", no_convergence_at_002)
+    assert run(
+        [
+            "sweep", "--gamma-min", "0.01", "--gamma-max", "0.03", "--gamma-steps", "3",
+            "--length", "20", "--workers", "1", "--out", tmp_path / "lapack",
+        ]
+    ) == 0
+    rows = read_csv(tmp_path / "lapack_sweep.csv")
+    failed = [r for r in rows if r["class"] == "failed"]
+    assert [float(r["gamma"]) for r in failed] == [pytest.approx(0.02)]
+    assert len(rows) == 1 + 2 * 20
+
+
+def test_lapack_non_convergence_exits_three(tmp_path, monkeypatch, capsys):
+    import ramphop.cli as cli
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "solve_spectrum", boom)
+    assert run(["spectrum", "--gamma", "0.01", "--length", "20", "--out", tmp_path / "x"]) == 3
+    assert "Eigenvalues did not converge" in capsys.readouterr().err
 
 
 def test_convergence_failures_exit_three(tmp_path, monkeypatch):
