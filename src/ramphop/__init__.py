@@ -20,7 +20,6 @@ from .analysis import (
 from .eigen import (
     ScaledDeterminant,
     Spectrum,
-    SpectrumSource,
     det_shifted,
     eig_general,
     eig_sym_tridiag,

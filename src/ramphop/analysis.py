@@ -20,7 +20,7 @@ from .errors import (
     InsufficientLevelsError,
     RegimeMismatchError,
 )
-from .eigen import Spectrum, det_shifted, eig_sym_tridiag, residual
+from .eigen import RESIDUAL_RTOL, Spectrum, det_shifted, eig_sym_tridiag, residual
 from .gauge import gauge_vector, hermitize, ungauge
 from .model import (
     Boundary,
@@ -395,7 +395,7 @@ def decoupling_check(
         raise RegimeMismatchError("decoupling certificate applies to the open chain")
     m = regime.split
     h = build_hamiltonian(params)
-    tol = 1e-8 * h.frobenius_norm()
+    tol = RESIDUAL_RTOL * h.frobenius_norm()
     dec = hermitize(params)
     ga = gauge_vector(params)
     spec_a = eig_sym_tridiag(dec.block_a, want_vectors=True)

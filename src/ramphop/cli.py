@@ -354,8 +354,6 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             f"unknown figure id {figure_id!r}; know {sorted(FIGURES)}"
         )
     recipe = FIGURES[figure_id]
-    workers = args.workers or _default_workers()
-    args.out.mkdir(parents=True, exist_ok=True)
     t = recipe.get("t", 1.0)
     length = recipe["length"]
     shared = [f"--t={t!r}", f"--length={length}", f"--format={args.format}", f"--seed={args.seed}"]
@@ -364,7 +362,8 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         lo, hi, steps = recipe["sweep"]
         runs[f"sweep gamma in [{lo}, {hi}] with {steps} points"] = [
             "sweep", f"--gamma-min={lo!r}", f"--gamma-max={hi!r}", f"--gamma-steps={steps}",
-            f"--workers={workers}", *shared, f"--out={args.out / f'{figure_id}_gamma'}",
+            f"--workers={args.workers or _default_workers()}", *shared,
+            f"--out={args.out / f'{figure_id}_gamma'}",
         ]
     for key, command, boundary in (
         ("spectrum", "spectrum", "obc"),
@@ -382,6 +381,8 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             argv.append(f"--select={value}")
             description += f" ({value})"
         runs[description] = argv
+    # RAMPHOP_WORKERS is read above, for sweep panels only, before any write
+    args.out.mkdir(parents=True, exist_ok=True)
     for argv in runs.values():
         sub_args = parser.parse_args(argv)
         sub_args.runner(sub_args)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -33,11 +32,6 @@ RESIDUAL_RTOL = 1e-8
 _MANTISSA_CHUNK = 512
 
 
-class SpectrumSource(Enum):
-    SYM_TRIDIAG = "sym_tridiag"
-    GENERAL_QR = "general_qr"
-
-
 @dataclass(eq=False)
 class Spectrum:
     """Eigenvalues (and optionally right eigenvectors) of one matrix.
@@ -52,7 +46,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residuals: np.ndarray | None
-    source: SpectrumSource
     unconverged: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -158,7 +151,9 @@ def eig_sym_tridiag(block, want_vectors: bool = False) -> Spectrum:
     unreduced (no zero off-diagonal), so their eigenvalues are simple; a
     repeated eigenvalue of a reduced block would get repeated vectors.
     Returns the spectrum of the stored real matrix; callers holding an
-    anti-symmetrizable block multiply by i themselves.
+    anti-symmetrizable block multiply by i themselves.  Residuals are taken
+    on the dense block, and pairs that miss the tolerance are flagged in
+    ``unconverged`` as for every other solver.
     """
     diag = np.asarray(block.diag, dtype=float)
     off = np.asarray(block.offdiag, dtype=float)
@@ -167,19 +162,10 @@ def eig_sym_tridiag(block, want_vectors: bool = False) -> Spectrum:
     if n > 1:
         dense += np.diag(off, 1) + np.diag(off, -1)
     lam = np.linalg.eigvalsh(dense)
-    vectors = None
-    residuals = None
-    if want_vectors:
-        z = _twisted_vectors(diag, off, off, lam) if n else np.zeros((0, 0))
-        tz = BandedHamiltonian(length=n, upper=off, lower=off).matvec(z)
-        residuals = np.linalg.norm(tz + (diag[:, None] - lam[None, :]) * z, axis=0)
-        vectors = z.astype(complex)
-    return Spectrum(
-        eigenvalues=lam.astype(complex),
-        eigenvectors=vectors,
-        residuals=residuals,
-        source=SpectrumSource.SYM_TRIDIAG,
-    )
+    if not want_vectors:
+        return Spectrum(eigenvalues=lam.astype(complex), eigenvectors=None, residuals=None)
+    z = _twisted_vectors(diag, off, off, lam) if n else np.zeros((0, 0))
+    return _checked(dense, lam.astype(complex), z.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +331,7 @@ def residual(h, eigenvalue: complex, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _checked(h, lam, vectors, source) -> Spectrum:
+def _checked(h, lam, vectors) -> Spectrum:
     """Spectrum with residuals ||H v - E v||; a nan residual counts as unconverged."""
     if isinstance(h, BandedHamiltonian):
         hv, fro = h.matvec(vectors), h.frobenius_norm()
@@ -357,26 +343,23 @@ def _checked(h, lam, vectors, source) -> Spectrum:
         eigenvalues=lam,
         eigenvectors=vectors,
         residuals=residuals,
-        source=source,
         unconverged=~(residuals <= RESIDUAL_RTOL * max(fro, 1e-300)),
     )
 
 
-def chain_spectrum(
-    h: BandedHamiltonian, eigenvalues, want_vectors: bool, source: SpectrumSource
-) -> Spectrum:
+def chain_spectrum(h: BandedHamiltonian, eigenvalues, want_vectors: bool) -> Spectrum:
     """Spectrum of an open chain whose eigenvalues are already known.
 
     Sorts them by (real, imaginary) part and, when asked, adds the
     twisted-factorization eigenvectors in the physical frame with their
-    residuals.  ``source`` names the solver the eigenvalues came from.
+    residuals.
     """
     lam = np.asarray(eigenvalues, dtype=complex)
     lam = lam[np.lexsort((lam.imag, lam.real))]
     if not want_vectors:
-        return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None, source=source)
+        return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
     vectors = _twisted_vectors(np.zeros(h.length), h.upper, h.lower, lam)
-    return _checked(h, lam, vectors, source)
+    return _checked(h, lam, vectors)
 
 
 def _symmetric_chain(h: BandedHamiltonian) -> np.ndarray:
@@ -388,11 +371,7 @@ def _symmetric_chain(h: BandedHamiltonian) -> np.ndarray:
     real and imaginary axes.
     """
     off = np.sqrt(h.upper * h.lower + 0j)
-    a = np.zeros((h.length, h.length), dtype=complex)
-    idx = np.arange(h.length - 1)
-    a[idx, idx + 1] = off
-    a[idx + 1, idx] = off
-    return a
+    return BandedHamiltonian(h.length, off, off).to_dense()
 
 
 def eig_general(h, want_vectors: bool = False) -> Spectrum:
@@ -418,9 +397,8 @@ def eig_general(h, want_vectors: bool = False) -> Spectrum:
     if not dense.imag.any():
         # a real matrix keeps its spectrum exactly closed under conjugation
         dense = dense.real
-    source = SpectrumSource.GENERAL_QR
     if chain:
-        return chain_spectrum(h, np.linalg.eigvals(dense), want_vectors, source)
+        return chain_spectrum(h, np.linalg.eigvals(dense), want_vectors)
     if want_vectors:
         lam, vectors = np.linalg.eig(dense)
     else:
@@ -428,6 +406,6 @@ def eig_general(h, want_vectors: bool = False) -> Spectrum:
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order].astype(complex)
     if vectors is None:
-        return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None, source=source)
+        return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
     vectors = vectors[:, order].astype(complex)
-    return _checked(h if banded else dense, lam, vectors, source)
+    return _checked(h if banded else dense, lam, vectors)

@@ -1,11 +1,11 @@
 """Diagonal gauge transforms that symmetrize the ramped-hopping chain.
 
-A diagonal similarity D^-1 H D with d_{j+1}/d_j = sqrt(t'_j / t_j) turns
-every bond with positive product t_j t'_j into a real symmetric one.  Bonds
-with negative product pick up a factor i per bond instead, so a run of them
-becomes i times a real symmetric block.  The gauge magnitudes span many
-orders of magnitude, hence everything is carried in log form and phases are
-tracked as quarter turns (powers of i) per site.
+The imaginary gauge of Hatano & Nelson (PRL 77, 570, 1996) on a ramp: D^-1 H D
+with d_{j+1}/d_j = sqrt|t'_j / t_j| makes every bond before the split site
+p = |t/gamma| real symmetric and every bond past it i times symmetric.  The
+gauge is one cumulative sum of log ratios per block, carried in log form as
+it spans many orders of magnitude, plus a quarter turn (power of i) per site
+past p.
 """
 
 from __future__ import annotations
@@ -20,25 +20,26 @@ from .model import (
     LatticeParams,
     Regime,
     RegimeKind,
+    bond_amplitudes,
     build_hamiltonian,
     classify_regime,
 )
 
-_QUARTER_PHASES = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+# Written out so that every zero part is +0.0.
+_QUARTER_PHASES = np.array([complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1)])
 
 
 @dataclass(frozen=True, eq=False)
 class GaugeVector:
     """Log-magnitude representation of the diagonal gauge D.
 
-    d_j = sign[j] * i**quarter_phase[j] * exp(log_mag[j]).  The gauge is
-    reset to d = 1 at every entry of ``block_starts`` (1-indexed sites);
-    quarter_phase stays 0 inside symmetrizable blocks and advances by one
-    per bond inside anti-symmetrizable ones.
+    d_j = i**quarter_phase[j] * exp(log_mag[j]).  The gauge is reset to
+    d = 1 at every entry of ``block_starts`` (1-indexed sites);
+    quarter_phase is max(j - p, 0) mod 4 at the 0-based site j, zero in
+    block A and advancing by one per bond past the split.
     """
 
     log_mag: np.ndarray
-    sign: np.ndarray
     quarter_phase: np.ndarray
     block_starts: list[int]
 
@@ -47,8 +48,8 @@ class GaugeVector:
         return len(self.log_mag)
 
     def phases(self) -> np.ndarray:
-        """Unit complex factor of each d_j (sign and quarter turns)."""
-        return self.sign * _QUARTER_PHASES[self.quarter_phase % 4]
+        """Unit complex factor i**quarter_phase of each d_j."""
+        return _QUARTER_PHASES[self.quarter_phase % 4]
 
     def values(self) -> np.ndarray:
         """Explicit d_j; may under/overflow for long chains, prefer log form."""
@@ -88,69 +89,63 @@ class BlockDecomposition:
         return self.block_a.size
 
 
-def _split_site(regime: Regime) -> int | None:
-    if regime.kind in (RegimeKind.INTEGER_SPLIT, RegimeKind.NON_INTEGER_SPLIT):
-        return regime.split
-    return None
+def _split_point(params: LatticeParams) -> tuple[Regime, int]:
+    """The regime and p, the number of sites in block A (sites 1..p).
+
+    p is L for a symmetrizable chain and 0 for an anti-symmetrizable one.
+    Bond p joins the blocks and every bond past it is anti-symmetrizable:
+    by position, not by the floating sign of t_j t'_j, so a snapped
+    near-integer split bond never leaks into a block interior.
+    """
+    regime = classify_regime(params)
+    if regime.split is not None:
+        return regime, regime.split
+    return regime, 0 if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE else params.length
 
 
-def _check_gauge_preconditions(params: LatticeParams, regime: Regime) -> None:
-    if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE and params.t == 0.0:
+def _log_gauge(upper: np.ndarray, lower: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """log d on the 0-based sites start..stop-1, from d = 1 at ``start``.
+
+    One cumulative sum of (log|t'_j| - log|t_j|) / 2 over the bonds between
+    those sites; ``stop`` must exceed ``start``.
+    """
+    up, lo = upper[start : stop - 1], lower[start : stop - 1]
+    bad = np.flatnonzero((up == 0.0) | (lo == 0.0))
+    if bad.size:
+        raise DegenerateBondError(f"bond {start + 1 + bad[0]} has a vanishing amplitude")
+    steps = 0.5 * (np.log(np.abs(lo)) - np.log(np.abs(up)))
+    return np.cumsum(np.concatenate(([0.0], steps)))
+
+
+def _gauge(params: LatticeParams, p: int, block_starts: list[int]) -> GaugeVector:
+    """The gauge of a chain with block A of p sites, reset to d = 1 at each
+    of ``block_starts`` (1-indexed sites)."""
+    if p == 0 and params.t == 0.0:
         raise DegenerateBondError(
             "t = 0 leaves the anti-symmetrizing gauge ratio undefined"
         )
-
-
-def gauge_vector(params: LatticeParams, *, restart: bool = True) -> GaugeVector:
-    """Gauge magnitudes, signs, and phases for the chain.
-
-    With ``restart`` (the default) the gauge resets to 1 just past the split
-    bond, which is the form that exhibits the block decomposition.  With
-    ``restart=False`` the magnitude recurrence runs through the split bond
-    instead, producing the balanced similar matrix used by the dense solver;
-    that variant is undefined when the split bond vanishes exactly
-    (integer |t/gamma|).
-    """
-    regime = classify_regime(params)
-    _check_gauge_preconditions(params, regime)
-    split = _split_site(regime)
-    if not restart and regime.kind is RegimeKind.INTEGER_SPLIT:
-        raise DegenerateBondError(
-            "the split bond vanishes for integer |t/gamma|; use the restarted gauge"
-        )
-    h = build_hamiltonian(
-        LatticeParams(params.t, params.gamma, params.length, Boundary.OBC)
-    )
     n = params.length
-    log_mag = np.zeros(n)
-    sign = np.ones(n, dtype=np.int8)
-    quarter = np.zeros(n, dtype=np.int8)
-    block_starts = [1]
-    for k in range(n - 1):
-        bond = k + 1  # 1-indexed bond between sites k and k+1
-        if restart and split is not None and bond == split:
-            log_mag[k + 1] = 0.0
-            quarter[k + 1] = 0
-            block_starts.append(split + 1)
-            continue
-        up, lo = h.upper[k], h.lower[k]
-        if up == 0.0 or lo == 0.0:
-            raise DegenerateBondError(f"bond {bond} has a vanishing amplitude")
-        anti = _bond_is_anti(regime, split, bond)
-        log_mag[k + 1] = log_mag[k] + 0.5 * (np.log(abs(lo)) - np.log(abs(up)))
-        quarter[k + 1] = (quarter[k] + 1) % 4 if anti else quarter[k]
-    return GaugeVector(log_mag, sign, quarter, block_starts)
+    upper, lower = bond_amplitudes(params.t, params.gamma, n)
+    bounds = [start - 1 for start in block_starts] + [n]
+    blocks = zip(bounds, bounds[1:])
+    log_mag = np.concatenate([_log_gauge(upper, lower, a, b) for a, b in blocks])
+    quarter = (np.maximum(np.arange(n) - p, 0) % 4).astype(np.int8)
+    return GaugeVector(log_mag, quarter, block_starts)
 
 
-def _bond_is_anti(regime: Regime, split: int | None, bond: int) -> bool:
-    """Anti bonds are decided by position relative to the split, not by the
-    floating sign of the product, so a snapped near-integer split bond never
-    leaks into a block interior."""
-    if regime.kind in (RegimeKind.HERMITIAN, RegimeKind.FULLY_HERMITIZABLE):
-        return False
-    if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE:
-        return True
-    return bond > split
+def _symmetric_bonds(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """sgn(t_j) sqrt|t_j t'_j|: the gauged bond, up to a factor i past the split."""
+    return np.sign(upper) * np.sqrt(np.abs(upper * lower))
+
+
+def gauge_vector(params: LatticeParams) -> GaugeVector:
+    """Gauge magnitudes and phases that exhibit the block decomposition.
+
+    d_{j+1}/d_j = sqrt|t'_j / t_j| inside each block, times i on every bond
+    past the split; the gauge resets to d = 1 just past the split bond.
+    """
+    regime, p = _split_point(params)
+    return _gauge(params, p, [1] if regime.split is None else [1, p + 1])
 
 
 def hermitize(params: LatticeParams) -> BlockDecomposition:
@@ -163,26 +158,16 @@ def hermitize(params: LatticeParams) -> BlockDecomposition:
     """
     if params.boundary is Boundary.PBC:
         raise RegimeMismatchError("the open-chain gauge does not close around a ring")
-    regime = classify_regime(params)
-    h = build_hamiltonian(params)
+    regime, p = _split_point(params)
     n = params.length
-    split = _split_site(regime)
-    off = np.sign(h.upper) * np.sqrt(np.abs(h.upper * h.lower))
-    # Block A holds sites 1..p: all of a symmetrizable chain, none of an
-    # anti-symmetrizable one.  Bond p joins the blocks and belongs to neither.
-    if split is None:
-        p = 0 if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE else n
-        coupling = BlockCoupling(0.0, 0.0)
-    else:
-        p = split
-        gauge = gauge_vector(params)
-        d_split = np.exp(gauge.log_mag[p - 1])  # d at site p (1-indexed), real positive
-        a = h.upper[p - 1] / d_split
-        if regime.kind is RegimeKind.INTEGER_SPLIT:
-            b = 0.0  # backward amplitude t - gamma*m vanishes at the split
-        else:
-            b = h.lower[p - 1] * d_split
-        coupling = BlockCoupling(float(a), float(b))
+    upper, lower = bond_amplitudes(params.t, params.gamma, n)
+    off = _symmetric_bonds(upper, lower)
+    coupling = BlockCoupling(0.0, 0.0)
+    if regime.split is not None:
+        d_split = np.exp(_log_gauge(upper, lower, 0, p)[-1])  # d at site p, real positive
+        # the backward amplitude t - gamma*m vanishes at an integer split
+        b = 0.0 if regime.kind is RegimeKind.INTEGER_SPLIT else lower[p - 1] * d_split
+        coupling = BlockCoupling(float(upper[p - 1] / d_split), float(b))
     return BlockDecomposition(
         block_a=SymTridiag(np.zeros(p), off[: max(p - 1, 0)]),
         block_b=SymTridiag(np.zeros(n - p), off[p:], imaginary_unit=True),
@@ -195,26 +180,22 @@ def balanced_form(params: LatticeParams) -> tuple[np.ndarray, GaugeVector]:
     """Complex symmetric tridiagonal similar to the open chain.
 
     Returns the off-diagonal entries (diagonal is zero) together with the
-    continuation gauge mapping its eigenvectors back: bonds with positive
-    product become sgn(t_j) sqrt(t_j t'_j), bonds with negative product
+    continuation gauge mapping its eigenvectors back, which runs through the
+    split bond without a reset: bonds with positive product become
+    sgn(t_j) sqrt(t_j t'_j), bonds with negative product
     i sgn(t_j) sqrt(|t_j t'_j|).  All entries stay of order of the raw
     amplitudes, which is what makes the dense solve well behaved.
     """
-    regime = classify_regime(params)
+    regime, p = _split_point(params)
     if regime.kind is RegimeKind.INTEGER_SPLIT:
         raise DegenerateBondError(
             "integer |t/gamma| has an exactly vanishing bond; use hermitize"
         )
-    gauge = gauge_vector(params, restart=False)
-    h = build_hamiltonian(
-        LatticeParams(params.t, params.gamma, params.length, Boundary.OBC)
-    )
-    split = _split_site(regime)
-    bonds = np.arange(1, params.length)
-    anti = np.array([_bond_is_anti(regime, split, b) for b in bonds])
-    mag = np.sign(h.upper) * np.sqrt(np.abs(h.upper * h.lower))
-    entries = np.where(anti, 1.0j * mag, mag + 0.0j)
-    return entries, gauge
+    gauge = _gauge(params, p, [1])
+    upper, lower = bond_amplitudes(params.t, params.gamma, params.length)
+    mag = _symmetric_bonds(upper, lower)
+    anti = np.arange(1, params.length) > p
+    return np.where(anti, 1.0j * mag, mag + 0.0j), gauge
 
 
 def ungauge(gauge: GaugeVector, transformed_vec: np.ndarray) -> np.ndarray:
@@ -247,7 +228,7 @@ def ungauge(gauge: GaugeVector, transformed_vec: np.ndarray) -> np.ndarray:
 
 
 def gauged_hamiltonian_dense(params: LatticeParams) -> np.ndarray:
-    """Dense D^-1 H D with the restarted gauge; small-chain inspection aid."""
+    """Dense D^-1 H D with the block gauge; small-chain inspection aid."""
     gauge = gauge_vector(params)
     d = gauge.values()
     h = build_hamiltonian(params).to_dense()

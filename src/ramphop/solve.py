@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .eigen import Spectrum, SpectrumSource, chain_spectrum, eig_general, eig_sym_tridiag
+from .eigen import Spectrum, chain_spectrum, eig_general, eig_sym_tridiag
 from .gauge import hermitize
 from .model import Boundary, LatticeParams, build_hamiltonian, classify_regime
 
@@ -21,9 +21,7 @@ def solve_spectrum(params: LatticeParams, want_vectors: bool = False) -> Spectru
     if params.boundary is Boundary.PBC or not classify_regime(params).decoupled:
         return eig_general(h, want_vectors)
     sigma_a, sigma_b = block_spectra(params)
-    return chain_spectrum(
-        h, np.concatenate([sigma_a, sigma_b]), want_vectors, SpectrumSource.SYM_TRIDIAG
-    )
+    return chain_spectrum(h, np.concatenate([sigma_a, sigma_b]), want_vectors)
 
 
 def block_spectra(params: LatticeParams) -> tuple[np.ndarray, np.ndarray]:

@@ -250,6 +250,12 @@ class TestFigureCommand:
         params = json.loads((tmp_path / "f1b" / "1b_params.json").read_text())
         assert params["gamma"] == 0.02 and params["length"] == 100
 
+    def test_workers_variable_is_read_only_for_sweep_panels(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("RAMPHOP_WORKERS", "abc")
+        assert run(["figure", "1a", "--out", tmp_path / "f1a"]) == 0
+        assert run(["figure", "2a", "--out", tmp_path / "f2a"]) == 2
+        assert not (tmp_path / "f2a").exists()
+
     def test_bound_state_panel_parameters(self, tmp_path):
         assert run(["figure", "3b", "--out", tmp_path / "f3b"]) == 0
         params = json.loads((tmp_path / "f3b" / "3b_params.json").read_text())

@@ -18,7 +18,7 @@ from ramphop import (
     solve_spectrum,
     spectral_moments,
 )
-from ramphop.eigen import RESIDUAL_RTOL, SpectrumSource, _snorm, _sprod
+from ramphop.eigen import RESIDUAL_RTOL, _snorm, _sprod
 from _oracles import charpoly, contour_roots, dense_matrix, max_pairing_gap
 
 
@@ -32,7 +32,6 @@ class TestSymTridiag:
     def test_zero_matrix(self):
         spec = eig_sym_tridiag(_sym([0.0, 0.0]))
         assert np.allclose(spec.eigenvalues, [0.0, 0.0, 0.0])
-        assert spec.source is SpectrumSource.SYM_TRIDIAG
 
     def test_uniform_open_chain_closed_form(self):
         spec = eig_sym_tridiag(_sym(np.ones(9)))

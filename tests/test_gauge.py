@@ -9,9 +9,11 @@ from ramphop import (
     Boundary,
     DegenerateBondError,
     LatticeParams,
+    RegimeKind,
     RegimeMismatchError,
     balanced_form,
     build_hamiltonian,
+    classify_regime,
     eig_general,
     eig_sym_tridiag,
     gauge_vector,
@@ -33,7 +35,6 @@ gauge_params = st.tuples(
 def test_reciprocal_limit_has_identity_gauge():
     ga = gauge_vector(LatticeParams(t=1.0, gamma=0.0, length=5))
     assert np.all(ga.log_mag == 0.0)
-    assert np.all(ga.sign == 1)
     assert np.all(ga.quarter_phase == 0)
     assert ga.block_starts == [1]
 
@@ -70,6 +71,105 @@ def test_gauge_recurrence_matches_bond_ratios(args):
         assert math.exp(ga.log_mag[k + 1] - ga.log_mag[k]) == pytest.approx(
             expected, rel=1e-12
         )
+
+
+def _gauge_loop(params, restart=True):
+    """The per-site gauge recurrence the closed form replaced, kept as the
+    reference: (log_mag, quarter_phase, block_starts).  Without ``restart``
+    the recurrence runs through the split bond, as for the balanced form."""
+    regime = classify_regime(params)
+    if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE and params.t == 0.0:
+        raise DegenerateBondError("t = 0 leaves the anti-symmetrizing gauge ratio undefined")
+    split = regime.split
+    h = build_hamiltonian(LatticeParams(params.t, params.gamma, params.length, Boundary.OBC))
+    n = params.length
+    log_mag = np.zeros(n)
+    quarter = np.zeros(n, dtype=np.int8)
+    block_starts = [1]
+    for k in range(n - 1):
+        bond = k + 1  # 1-indexed bond between sites k and k+1
+        if restart and split is not None and bond == split:
+            block_starts.append(split + 1)
+            continue
+        up, lo = h.upper[k], h.lower[k]
+        if up == 0.0 or lo == 0.0:
+            raise DegenerateBondError(f"bond {bond} has a vanishing amplitude")
+        if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE:
+            anti = True
+        else:
+            anti = split is not None and bond > split
+        log_mag[k + 1] = log_mag[k] + 0.5 * (np.log(abs(lo)) - np.log(abs(up)))
+        quarter[k + 1] = (quarter[k] + 1) % 4 if anti else quarter[k]
+    return log_mag, quarter, block_starts
+
+
+def _balanced_gauge_loop(params):
+    if classify_regime(params).kind is RegimeKind.INTEGER_SPLIT:
+        raise DegenerateBondError(
+            "integer |t/gamma| has an exactly vanishing bond; use hermitize"
+        )
+    return _gauge_loop(params, restart=False)
+
+
+def _coupling_loop(params):
+    """(a, b) across the split bond from the reference gauge at site p."""
+    regime = classify_regime(params)
+    if regime.split is None:
+        return 0.0, 0.0
+    p = regime.split
+    h = build_hamiltonian(params)
+    d_split = np.exp(_gauge_loop(params)[0][p - 1])
+    b = 0.0 if regime.kind is RegimeKind.INTEGER_SPLIT else h.lower[p - 1] * d_split
+    return h.upper[p - 1] / d_split, b
+
+
+def _outcome(fn, params):
+    try:
+        return fn(params)
+    except DegenerateBondError as exc:
+        return type(exc), str(exc)
+
+
+# Every regime: integer splits of either sign, then generic draws with t = 0,
+# gamma = 0 and both signs of each (t = gamma = 0 has vanishing bonds).
+any_regime = st.one_of(
+    st.builds(
+        lambda t, m, sign, length: (t, sign * t / m, length),
+        st.sampled_from([1.0, 0.5, -1.0, 2.0, -0.3]),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(min_value=2, max_value=60),
+    ),
+    st.tuples(
+        st.one_of(st.sampled_from([0.0, 1.0, -0.3]), st.floats(min_value=-3.0, max_value=3.0)),
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-2.0, max_value=2.0).filter(lambda g: abs(g) >= 1e-6),
+        ),
+        st.integers(min_value=2, max_value=60),
+    ),
+)
+
+
+@given(any_regime)
+@settings(max_examples=200, deadline=None)
+def test_closed_form_gauge_matches_the_loop(args):
+    params = LatticeParams(*args)
+    for fn, ref in (
+        (gauge_vector, _gauge_loop),
+        (lambda p: balanced_form(p)[1], _balanced_gauge_loop),
+    ):
+        got, want = _outcome(fn, params), _outcome(ref, params)
+        if isinstance(want[0], type):
+            assert got == want
+            continue
+        np.testing.assert_allclose(got.log_mag, want[0], rtol=1e-12, atol=0.0)
+        assert np.array_equal(got.quarter_phase, want[1])
+        assert got.block_starts == want[2]
+    coupling = hermitize(params).coupling
+    np.testing.assert_allclose(
+        [coupling.a, coupling.b], _coupling_loop(params), rtol=1e-12, atol=0.0
+    )
 
 
 def test_single_block_symmetrization_offdiagonals():
