@@ -38,7 +38,6 @@ from .gauge import (
     BlockCoupling,
     BlockDecomposition,
     GaugeVector,
-    SymTridiag,
     balanced_form,
     gauge_vector,
     hermitize,

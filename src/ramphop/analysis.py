@@ -44,6 +44,9 @@ SUPPORT_THRESHOLD = 1e-3
 
 DEFAULT_THETA_STEPS = 256
 
+# A block-A state decouples when its amplitudes past the split stay below this (peak 1).
+DECOUPLING_TAIL_TOL = 1e-12
+
 
 class EigenClass(str, Enum):
     REAL = "real"
@@ -82,7 +85,7 @@ class ClassifiedSpectrum:
         return np.array([e.value for e in picked], dtype=complex)
 
 
-def classify(spectrum: Spectrum | np.ndarray, tolerance: float | None = None) -> ClassifiedSpectrum:
+def classify(spectrum: Spectrum | np.ndarray) -> ClassifiedSpectrum:
     """Label each eigenvalue by its distance to the real and imaginary axes.
 
     A value within tolerance of both axes (i.e. near the origin) counts as
@@ -94,9 +97,8 @@ def classify(spectrum: Spectrum | np.ndarray, tolerance: float | None = None) ->
         values = spectrum.eigenvalues
     else:
         values = np.asarray(spectrum, dtype=complex)
-    if tolerance is None:
-        radius = float(np.max(np.abs(values))) if len(values) else 0.0
-        tolerance = CLASS_TOL_SCALE * max(1.0, radius)
+    radius = float(np.max(np.abs(values))) if len(values) else 0.0
+    tolerance = CLASS_TOL_SCALE * max(1.0, radius)
 
     def _label(v: complex) -> EigenClass:
         if abs(v.imag) <= tolerance:
@@ -142,11 +144,7 @@ class LadderStats:
         return self.relative_stdev < LADDER_RELATIVE_STDEV
 
 
-def level_spacings(
-    cs: ClassifiedSpectrum,
-    which: EigenClass,
-    interior_fraction: float = LADDER_INTERIOR_FRACTION,
-) -> LadderStats:
+def level_spacings(cs: ClassifiedSpectrum, which: EigenClass) -> LadderStats:
     """Consecutive spacings of one sorted ladder, over its interior window."""
     if which is EigenClass.REAL:
         levels = np.sort(cs.values(EigenClass.REAL).real)
@@ -157,7 +155,7 @@ def level_spacings(
     n = len(levels)
     if n < 3:
         raise InsufficientLevelsError(f"need at least 3 levels, got {n}")
-    trim = int(round(n * (1.0 - interior_fraction) / 2.0))
+    trim = int(round(n * (1.0 - LADDER_INTERIOR_FRACTION) / 2.0))
     trim = min(trim, (n - 3) // 2)
     kept = levels[trim : n - trim]
     spacings = np.diff(kept)
@@ -378,9 +376,7 @@ class DecouplingReport:
     tail_tolerance: float
 
 
-def decoupling_check(
-    params: LatticeParams, tail_tolerance: float = 1e-12
-) -> DecouplingReport:
+def decoupling_check(params: LatticeParams) -> DecouplingReport:
     """Certify that block-A eigenstates, padded with zeros, solve the chain.
 
     Only meaningful at integer |t/gamma|, where the backward amplitude of
@@ -408,11 +404,11 @@ def decoupling_check(
         max_tail = max(max_tail, float(np.max(np.abs(v[m:]))) if m < params.length else 0.0)
         max_res = max(max_res, residual(h, spec_a.eigenvalues[idx], v))
     return DecouplingReport(
-        ok=max_res < tol and max_tail < tail_tolerance,
+        ok=max_res < tol and max_tail < DECOUPLING_TAIL_TOL,
         split=m,
         n_states=spec_a.size,
         max_residual=max_res,
         max_tail=max_tail,
         residual_tolerance=tol,
-        tail_tolerance=tail_tolerance,
+        tail_tolerance=DECOUPLING_TAIL_TOL,
     )

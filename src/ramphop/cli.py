@@ -346,7 +346,7 @@ def cmd_winding(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_figure(args: argparse.Namespace) -> int:
     """Run the command lines behind one panel, then record them."""
     figure_id = args.figure_id
     if figure_id not in FIGURES:
@@ -384,7 +384,7 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     # RAMPHOP_WORKERS is read above, for sweep panels only, before any write
     args.out.mkdir(parents=True, exist_ok=True)
     for argv in runs.values():
-        sub_args = parser.parse_args(argv)
+        sub_args = build_parser().parse_args(argv)
         sub_args.runner(sub_args)
     rio.write_json(
         args.out / f"{figure_id}_params.json",
@@ -416,6 +416,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramphop",
@@ -462,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(runner=functools.partial(cmd_figure, parser=parser))
+    p.set_defaults(runner=cmd_figure)
 
     return parser
 
@@ -475,8 +476,7 @@ def _default_workers() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.runner(args)
     except (ConvergenceError, np.linalg.LinAlgError) as exc:

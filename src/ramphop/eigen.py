@@ -1,14 +1,15 @@
 """Eigensolvers and exact matrix functionals for the chain matrices.
 
-Eigenvalues come from LAPACK through numpy: ``eigvalsh`` for the real
-symmetric gauge blocks, ``eigvals``/``eig`` for rings and dense input, and
-``eigvals`` of the gauge-similar complex-symmetric form for coupled open
-chains.  Every open-chain eigenvector, and every gauge-block eigenvector,
-comes from one O(n) kernel: Fernando's twisted factorization, carried in
-log modulus and phase so that entries far beyond floating range only cost
-underflow of the negligible ones.  Shifted determinants are evaluated by the
-tridiagonal continuant recurrence with a carried power-of-two exponent,
-including the rank-two correction for ring closures.
+Every matrix here is a ``BandedHamiltonian``.  Eigenvalues come from LAPACK
+through numpy: ``eigvalsh`` for the real symmetric gauge blocks,
+``eigvals``/``eig`` for rings, and ``eigvals`` of the gauge-similar
+complex-symmetric form for coupled open chains.  Every open-chain and
+gauge-block eigenvector comes from one O(n) kernel in ``chain_spectrum``:
+Fernando's twisted factorization, carried in log modulus and phase so that
+entries far beyond floating range only cost underflow of the negligible
+ones.  Shifted determinants come from the tridiagonal continuant recurrence
+with a carried power-of-two exponent, including the rank-two correction for
+ring closures.
 """
 
 from __future__ import annotations
@@ -85,26 +86,25 @@ def _log_polar_cumprod(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_mag, ratios
 
 
-def _twisted_vectors(diag, upper, lower, eigenvalues) -> np.ndarray:
-    """Right eigenvectors of a tridiagonal matrix, one unit column per eigenvalue.
+def _twisted_vectors(upper, lower, eigenvalues) -> np.ndarray:
+    """Right eigenvectors of a zero-diagonal tridiagonal, one unit column per eigenvalue.
 
     Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
     Dhillon & Parlett, LAA 387, 2004, as in LAPACK ``dlar1v``), for all
     eigenvalues at once: the loop runs over sites, numpy over eigenvalues.
-    With shift a_k - lambda, the forward pivots are
-    d+_k = (a_k - lambda) - u_{k-1} l_{k-1} / d+_{k-1}, the backward pivots
-    d-_k follow the same rule from the other end, and the two meet at the
-    twist r minimising |d+_k + d-_k - (a_k - lambda)|.  From v_r = 1 the
-    vector runs outward as v_k = -u_k v_{k+1} / d+_k below the twist and
-    v_k = -l_{k-1} v_{k-1} / d-_k above it, every row but r satisfied
-    exactly.  Entries are carried as log modulus and phase and normalised
+    With shift -lambda, the forward pivots are
+    d+_k = -lambda - u_{k-1} l_{k-1} / d+_{k-1}, the backward pivots d-_k
+    follow the same rule from the other end, and the two meet at the twist r
+    minimising |d+_k + d-_k + lambda|.  From v_r = 1 the vector runs outward
+    as v_k = -u_k v_{k+1} / d+_k below the twist and v_k = -l_{k-1} v_{k-1}
+    / d-_k above it, every row but r satisfied exactly.  Entries are carried as log modulus and phase and normalised
     once at the end, so the exponential gauge profiles of the ramped chain
     never overflow.  The pivots depend on the bond products only, which
     makes the result the same as running on any diagonally similar form
     and mapping back.  A pivot below eps * scale is replaced by that value.
     """
-    n = len(diag)
-    shift = diag[:, None] - eigenvalues[None, :]
+    n = len(upper) + 1
+    shift = np.repeat(-eigenvalues[None, :], n, axis=0)
     bonds = (upper * lower)[:, None]
     scale = max(
         float(np.max(np.abs(shift), initial=0.0)),
@@ -142,30 +142,18 @@ def _twisted_vectors(diag, upper, lower, eigenvalues) -> np.ndarray:
     return v
 
 
-def eig_sym_tridiag(block, want_vectors: bool = False) -> Spectrum:
-    """Eigendecomposition of a real symmetric tridiagonal block.
+def eig_sym_tridiag(block: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
+    """Eigendecomposition of a real symmetric zero-diagonal gauge block.
 
-    Eigenvalues come from LAPACK ``eigvalsh`` (ascending) and eigenvectors
-    from the twisted factorization, whose tiny components keep the relative
-    accuracy that log-domain ungauging needs.  The gauge blocks are
-    unreduced (no zero off-diagonal), so their eigenvalues are simple; a
-    repeated eigenvalue of a reduced block would get repeated vectors.
-    Returns the spectrum of the stored real matrix; callers holding an
-    anti-symmetrizable block multiply by i themselves.  Residuals are taken
-    on the dense block, and pairs that miss the tolerance are flagged in
-    ``unconverged`` as for every other solver.
+    Eigenvalues come from LAPACK ``eigvalsh`` (ascending) and eigenvectors,
+    through ``chain_spectrum``, from the twisted factorization, whose tiny
+    components keep the relative accuracy that log-domain ungauging needs.
+    The gauge blocks are unreduced (no zero off-diagonal), so their
+    eigenvalues are simple; a repeated eigenvalue of a reduced block would
+    get repeated vectors.  Returns the spectrum of the stored real matrix;
+    callers holding an anti-symmetrizable block multiply by i themselves.
     """
-    diag = np.asarray(block.diag, dtype=float)
-    off = np.asarray(block.offdiag, dtype=float)
-    n = len(diag)
-    dense = np.diag(diag)
-    if n > 1:
-        dense += np.diag(off, 1) + np.diag(off, -1)
-    lam = np.linalg.eigvalsh(dense)
-    if not want_vectors:
-        return Spectrum(eigenvalues=lam.astype(complex), eigenvectors=None, residuals=None)
-    z = _twisted_vectors(diag, off, off, lam) if n else np.zeros((0, 0))
-    return _checked(dense, lam.astype(complex), z.astype(complex))
+    return chain_spectrum(block, np.linalg.eigvalsh(block.to_dense().real), want_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +301,13 @@ def spectral_moments(h: BandedHamiltonian) -> SpectralMoments:
     )
 
 
-def residual(h, eigenvalue: complex, v: np.ndarray) -> float:
+def residual(h: BandedHamiltonian, eigenvalue: complex, v: np.ndarray) -> float:
     """Relative eigenpair defect ||H v - E v|| / ||v||."""
     v = np.asarray(v, dtype=complex)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise ValueError("zero vector has no residual")
-    if isinstance(h, BandedHamiltonian):
-        hv = h.matvec(v)
-    else:
-        hv = np.asarray(h, dtype=complex) @ v
-    return float(np.linalg.norm(hv - eigenvalue * v)) / nv
+    return float(np.linalg.norm(h.matvec(v) - eigenvalue * v)) / nv
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +315,9 @@ def residual(h, eigenvalue: complex, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _checked(h, lam, vectors) -> Spectrum:
+def _checked(h: BandedHamiltonian, lam, vectors) -> Spectrum:
     """Spectrum with residuals ||H v - E v||; a nan residual counts as unconverged."""
-    if isinstance(h, BandedHamiltonian):
-        hv, fro = h.matvec(vectors), h.frobenius_norm()
-    else:
-        hv, fro = h @ vectors, float(np.linalg.norm(h))
+    hv, fro = h.matvec(vectors), h.frobenius_norm()
     hv -= vectors * lam[None, :]
     residuals = np.linalg.norm(hv, axis=0)
     return Spectrum(
@@ -351,14 +332,14 @@ def chain_spectrum(h: BandedHamiltonian, eigenvalues, want_vectors: bool) -> Spe
     """Spectrum of an open chain whose eigenvalues are already known.
 
     Sorts them by (real, imaginary) part and, when asked, adds the
-    twisted-factorization eigenvectors in the physical frame with their
-    residuals.
+    twisted-factorization eigenvectors with their residuals on the banded
+    ``matvec``.  A chain of no sites has an empty spectrum.
     """
     lam = np.asarray(eigenvalues, dtype=complex)
     lam = lam[np.lexsort((lam.imag, lam.real))]
     if not want_vectors:
         return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
-    vectors = _twisted_vectors(np.zeros(h.length), h.upper, h.lower, lam)
+    vectors = _twisted_vectors(h.upper, h.lower, lam) if h.length else np.zeros((0, 0), complex)
     return _checked(h, lam, vectors)
 
 
@@ -374,30 +355,23 @@ def _symmetric_chain(h: BandedHamiltonian) -> np.ndarray:
     return BandedHamiltonian(h.length, off, off).to_dense()
 
 
-def eig_general(h, want_vectors: bool = False) -> Spectrum:
-    """Complex spectrum of a banded Hamiltonian or a dense square matrix.
+def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
+    """Complex spectrum of a banded Hamiltonian.
 
-    Rings and dense input are handed to LAPACK (``numpy.linalg.eig``).  An
-    open chain takes its eigenvalues from LAPACK on the gauge-similar
-    complex-symmetric form and its eigenvectors from the twisted
-    factorization on the chain itself.  Everything is deterministic.
-    Residuals are ||H v - E v|| against the matrix as given, and a pair
-    that misses the tolerance is flagged in ``unconverged``, not fatal.
+    Rings are handed to LAPACK (``numpy.linalg.eig``).  An open chain takes
+    its eigenvalues from LAPACK on the gauge-similar complex-symmetric form
+    and its eigenvectors from the twisted factorization on the chain itself.
+    Everything is deterministic.  Residuals are ||H v - E v|| against the
+    matrix as given, and a pair that misses the tolerance is flagged in
+    ``unconverged``, not fatal.
     """
-    banded = isinstance(h, BandedHamiltonian)
-    chain = banded and not h.is_pbc
-    if banded:
-        dense = _symmetric_chain(h) if chain else h.to_dense()
-    else:
-        dense = np.asarray(h, dtype=complex)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("matrix must be square")
-        if dense.shape[0] < 1:
-            raise ValueError("matrix dimension must be >= 1")
+    if not isinstance(h, BandedHamiltonian):
+        raise TypeError("eig_general expects a banded matrix")
+    dense = h.to_dense() if h.is_pbc else _symmetric_chain(h)
     if not dense.imag.any():
         # a real matrix keeps its spectrum exactly closed under conjugation
         dense = dense.real
-    if chain:
+    if not h.is_pbc:
         return chain_spectrum(h, np.linalg.eigvals(dense), want_vectors)
     if want_vectors:
         lam, vectors = np.linalg.eig(dense)
@@ -407,5 +381,4 @@ def eig_general(h, want_vectors: bool = False) -> Spectrum:
     lam = lam[order].astype(complex)
     if vectors is None:
         return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
-    vectors = vectors[:, order].astype(complex)
-    return _checked(h if banded else dense, lam, vectors)
+    return _checked(h, lam, vectors[:, order].astype(complex))

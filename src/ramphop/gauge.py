@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import DegenerateBondError, RegimeMismatchError
 from .model import (
+    BandedHamiltonian,
     Boundary,
     LatticeParams,
     Regime,
     RegimeKind,
     bond_amplitudes,
-    build_hamiltonian,
     classify_regime,
 )
 
@@ -56,19 +56,6 @@ class GaugeVector:
         return self.phases() * np.exp(self.log_mag)
 
 
-@dataclass(frozen=True, eq=False)
-class SymTridiag:
-    """Real symmetric tridiagonal block; physical block is i*matrix when flagged."""
-
-    diag: np.ndarray
-    offdiag: np.ndarray
-    imaginary_unit: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-
 @dataclass(frozen=True)
 class BlockCoupling:
     a: float
@@ -77,16 +64,21 @@ class BlockCoupling:
 
 @dataclass(frozen=True, eq=False)
 class BlockDecomposition:
-    """Gauge-transformed chain split at the bond where t_j t'_j changes sign."""
+    """Gauge-transformed chain split at the bond where t_j t'_j changes sign.
 
-    block_a: SymTridiag
-    block_b: SymTridiag
+    Both blocks are real symmetric zero-diagonal tridiagonals: block_a is
+    the gauged chain on sites 1..p, and the physical block on the sites past
+    p is i times block_b.
+    """
+
+    block_a: BandedHamiltonian
+    block_b: BandedHamiltonian
     coupling: BlockCoupling
     decoupled: bool
 
     @property
     def split(self) -> int:
-        return self.block_a.size
+        return self.block_a.length
 
 
 def _split_point(params: LatticeParams) -> tuple[Regime, int]:
@@ -168,9 +160,10 @@ def hermitize(params: LatticeParams) -> BlockDecomposition:
         # the backward amplitude t - gamma*m vanishes at an integer split
         b = 0.0 if regime.kind is RegimeKind.INTEGER_SPLIT else lower[p - 1] * d_split
         coupling = BlockCoupling(float(upper[p - 1] / d_split), float(b))
+    off_a, off_b = off[: max(p - 1, 0)], off[p:]
     return BlockDecomposition(
-        block_a=SymTridiag(np.zeros(p), off[: max(p - 1, 0)]),
-        block_b=SymTridiag(np.zeros(n - p), off[p:], imaginary_unit=True),
+        block_a=BandedHamiltonian(p, off_a, off_a),
+        block_b=BandedHamiltonian(n - p, off_b, off_b),
         coupling=coupling,
         decoupled=regime.decoupled,
     )
@@ -226,10 +219,3 @@ def ungauge(gauge: GaugeVector, transformed_vec: np.ndarray) -> np.ndarray:
     out = np.exp(log_v - shift) * unit * gauge.phases()
     return out
 
-
-def gauged_hamiltonian_dense(params: LatticeParams) -> np.ndarray:
-    """Dense D^-1 H D with the block gauge; small-chain inspection aid."""
-    gauge = gauge_vector(params)
-    d = gauge.values()
-    h = build_hamiltonian(params).to_dense()
-    return (h * d[None, :]) / d[:, None]

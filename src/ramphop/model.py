@@ -44,6 +44,12 @@ class LatticeParams:
     def __post_init__(self):
         if not (math.isfinite(self.t) and math.isfinite(self.gamma)):
             raise ValueError("t and gamma must be finite")
+        # 2L (|t| + |gamma| L)^2 bounds ||H||_F^2 and every bond product; an L
+        # past float range makes it inf
+        n = float(self.length) if self.length < 2**1023 else math.inf
+        largest = abs(self.t) + abs(self.gamma) * n
+        if not math.isfinite(2.0 * n * largest * largest):
+            raise ValueError("t, gamma and length overflow the matrix norm")
         min_length = 3 if self.boundary is Boundary.PBC else 2
         if self.length < min_length:
             raise ValueError(

@@ -33,6 +33,12 @@ def dense_matrix(
     return h
 
 
+def gauged_hamiltonian_dense(t: float, gamma: float, length: int, d: np.ndarray) -> np.ndarray:
+    """D^-1 H D of the open chain for the diagonal gauge entries ``d``."""
+    h = dense_matrix(t, gamma, length)
+    return (h * d[None, :]) / d[:, None]
+
+
 def hatano_nelson_dense(t: float, gamma: float, length: int, pbc: bool = False) -> np.ndarray:
     h = np.zeros((length, length), dtype=complex)
     for j in range(length - 1):

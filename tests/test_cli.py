@@ -385,3 +385,26 @@ def test_exit_three_names_the_failed_solve(tmp_path, monkeypatch, capsys):
 
 def test_invalid_length_exit_two(tmp_path):
     assert run(["spectrum", "--gamma", "0.01", "--length", "1", "--out", tmp_path / "x"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--gamma", "1e152", "--length", "100"],
+        ["spectrum", "--gamma", "1e153", "--length", "100", "--boundary", "pbc"],
+        ["spectrum", "--gamma", "1e308", "--length", "5"],
+        ["sweep", "--gamma-max", "1e152", "--length", "100", "--workers", "1"],
+        ["spectrum", "--gamma", "0.01", "--length", str(10**400)],
+    ],
+)
+def test_overflowing_parameters_exit_two(tmp_path, args, capsys):
+    # 2L (|t| + |gamma| L)^2 is not a finite float, so ||H||_F could overflow
+    assert run([*args, "--out", tmp_path / "x"]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+def test_large_finite_parameters_still_solve(tmp_path, boundary):
+    args = ["--gamma", "1e150", "--length", "5", "--boundary", boundary]
+    assert run(["spectrum", *args, "--out", tmp_path / "x"]) == 0

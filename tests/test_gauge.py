@@ -21,8 +21,7 @@ from ramphop import (
     residual,
     ungauge,
 )
-from ramphop.gauge import gauged_hamiltonian_dense
-from _oracles import dense_matrix, max_pairing_gap
+from _oracles import dense_matrix, gauged_hamiltonian_dense, max_pairing_gap
 
 # Parameter draws whose gauge stays within comfortable floating range.
 gauge_params = st.tuples(
@@ -174,25 +173,27 @@ def test_closed_form_gauge_matches_the_loop(args):
 
 def test_single_block_symmetrization_offdiagonals():
     dec = hermitize(LatticeParams(t=1.0, gamma=0.01, length=100))
-    assert dec.block_a.size == 100
-    assert dec.block_b.size == 0
+    assert dec.block_a.length == 100
+    assert dec.block_b.length == 0
     assert dec.decoupled
     j = np.arange(1, 100, dtype=float)
-    assert np.allclose(dec.block_a.offdiag, np.sqrt(1.0 - (0.01 * j) ** 2))
+    assert np.allclose(dec.block_a.upper, np.sqrt(1.0 - (0.01 * j) ** 2))
+    assert np.array_equal(dec.block_a.lower, dec.block_a.upper)
+    assert not dec.block_a.is_pbc
 
 
 def test_integer_split_blocks_and_coupling():
     dec = hermitize(LatticeParams(t=1.0, gamma=0.02, length=100))
-    assert dec.block_a.size == 50
-    assert dec.block_b.size == 50
-    assert dec.block_b.imaginary_unit
+    assert dec.block_a.length == 50
+    assert dec.block_b.length == 50
+    assert np.array_equal(dec.block_b.lower, dec.block_b.upper)
     assert dec.coupling.b == 0.0
     assert dec.decoupled
 
 
 def test_non_integer_split_blocks_stay_coupled():
     dec = hermitize(LatticeParams(t=1.0, gamma=0.07, length=100))
-    assert (dec.block_a.size, dec.block_b.size) == (14, 86)
+    assert (dec.block_a.length, dec.block_b.length) == (14, 86)
     assert dec.coupling.a != 0.0
     assert dec.coupling.b != 0.0
     assert not dec.decoupled
@@ -200,9 +201,9 @@ def test_non_integer_split_blocks_stay_coupled():
 
 def test_fully_anti_regime_is_one_imaginary_block():
     dec = hermitize(LatticeParams(t=1.0, gamma=1.5, length=10))
-    assert dec.block_a.size == 0
-    assert dec.block_b.size == 10
-    assert dec.block_b.imaginary_unit
+    assert dec.block_a.length == 0
+    assert dec.block_b.length == 10
+    assert np.array_equal(dec.block_b.lower, dec.block_b.upper)
 
 
 @given(gauge_params)
@@ -213,14 +214,14 @@ def test_offdiagonal_squares_reproduce_bond_products(args):
     dec = hermitize(params)
     j = np.arange(1, length, dtype=float)
     products = np.abs(t * t - gamma * gamma * j * j)
-    split = dec.block_a.size
+    split = dec.block_a.length
     if 0 < split < length:
         # the split bond itself is coupling, not block interior
-        assert np.allclose(dec.block_a.offdiag ** 2, products[: split - 1])
-        assert np.allclose(dec.block_b.offdiag ** 2, products[split:])
+        assert np.allclose(dec.block_a.upper ** 2, products[: split - 1])
+        assert np.allclose(dec.block_b.upper ** 2, products[split:])
     else:
         whole = dec.block_a if split == length else dec.block_b
-        assert np.allclose(whole.offdiag ** 2, products)
+        assert np.allclose(whole.upper ** 2, products)
 
 
 def test_hermitize_rejects_rings():
@@ -236,7 +237,7 @@ def test_anti_gauge_with_zero_uniform_hopping_is_degenerate():
 def test_gauged_matrix_is_similar_small_chain():
     # explicit dense conjugation equals the block structure, eigenvalues intact
     params = LatticeParams(t=1.0, gamma=0.3, length=6)
-    gh = gauged_hamiltonian_dense(params)
+    gh = gauged_hamiltonian_dense(1.0, 0.3, 6, gauge_vector(params).values())
     ref = np.linalg.eigvals(dense_matrix(1.0, 0.3, 6))
     assert max_pairing_gap(np.linalg.eigvals(gh), ref) < 1e-9
 
