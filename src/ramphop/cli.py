@@ -16,7 +16,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +201,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tasks = [(args.t, float(g), args.length, args.boundary) for g in grid]
     workers = args.workers or _default_workers()
     if workers > 1:
+        # imported here: the pool costs memory that a single-worker run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:

@@ -1,15 +1,15 @@
 """Eigensolvers and exact matrix functionals for the chain matrices.
 
 Every matrix here is a ``BandedHamiltonian``.  Eigenvalues come from LAPACK
-through numpy: ``eigvalsh`` for the real symmetric gauge blocks,
-``eigvals``/``eig`` for rings, and ``eigvals`` of the gauge-similar
-complex-symmetric form for coupled open chains.  Every open-chain and
-gauge-block eigenvector comes from one O(n) kernel in ``chain_spectrum``:
-Fernando's twisted factorization, carried in log modulus and phase so that
-entries far beyond floating range only cost underflow of the negligible
-ones.  Shifted determinants come from the tridiagonal continuant recurrence
-with a carried power-of-two exponent, including the rank-two correction for
-ring closures.
+through numpy: ``eigvalsh`` for the real symmetric gauge blocks and for the
+half-size real symmetric sublattice form of H^2 of an open chain, whose
+levels are then +-sqrt(mu), and ``eigvals``/``eig`` for rings.  Every
+open-chain and gauge-block eigenvector comes from one O(n) kernel in
+``chain_spectrum``: Fernando's twisted factorization, carried in log
+modulus and phase so that entries far beyond floating range only cost
+underflow of the negligible ones.  Shifted determinants come from the
+tridiagonal continuant recurrence with a carried power-of-two exponent,
+including the rank-two correction for ring closures.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ RESIDUAL_RTOL = 1e-8
 # Factors per partial product of frexp mantissas: each lies in [0.5, 1), so
 # a chunk stays above 2**-512 and cannot underflow.
 _MANTISSA_CHUNK = 512
+
+# Open-chain levels sqrt(mu) with |mu| below this fraction of the largest
+# |mu| have lost digits to the square root and get Newton steps on the
+# continuant, at most _NEWTON_STEPS of them.
+_POLISH_RTOL = math.sqrt(_EPS)
+_NEWTON_STEPS = 4
 
 
 @dataclass(eq=False)
@@ -343,36 +349,121 @@ def chain_spectrum(h: BandedHamiltonian, eigenvalues, want_vectors: bool) -> Spe
     return _checked(h, lam, vectors)
 
 
-def _symmetric_chain(h: BandedHamiltonian) -> np.ndarray:
-    """Dense complex-symmetric tridiagonal similar to an open chain.
+def _piece_continuant_newton(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Refine the levels sqrt|mu| of an unreduced piece by Newton on its continuant.
 
-    The off-diagonal sqrt(upper * lower) is the diagonal gauge similarity
-    of the chain: it keeps entries of the size of the amplitudes, where the
-    raw nonreciprocal chain would let rounding move its eigenvalues off the
-    real and imaginary axes.
+    A real level x (mu > 0) is a root of p_k = -x p_{k-1} - w_{k-1} p_{k-2};
+    an imaginary level iy (mu < 0) makes y a root of the same real recurrence
+    with w replaced by -w.  The loop runs over sites, numpy over levels, and
+    each step rescales p and its derivative by a power of two, which leaves
+    their ratio exact.  A level whose step is not finite stays where it is.
     """
-    off = np.sqrt(h.upper * h.lower + 0j)
-    return BandedHamiltonian(h.length, off, off).to_dense()
+    x = np.sqrt(np.abs(mu))
+    omega = np.where(mu > 0, 1.0, -1.0)[None, :] * w[:, None]
+    for _ in range(_NEWTON_STEPS):
+        p_prev, p = np.ones_like(x), -x
+        dp_prev, dp = np.zeros_like(x), -np.ones_like(x)
+        for om in omega:
+            p_prev, p = p, -x * p - om * p_prev
+            dp_prev, dp = dp, -p_prev - x * dp - om * dp_prev
+            exp = np.frexp(np.max(np.abs([p, p_prev, dp, dp_prev]), axis=0))[1]
+            p, p_prev, dp, dp_prev = (np.ldexp(a, -exp) for a in (p, p_prev, dp, dp_prev))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p / dp
+        step[~np.isfinite(step)] = 0.0
+        x = np.abs(x - step)
+        if np.all(np.abs(step) <= _EPS * x):
+            break
+    return x
+
+
+def _piece_levels(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an unreduced zero-diagonal chain with bond products ``w``.
+
+    H^2 splits over the two sublattices into tridiagonals with diagonal
+    w_{i-1} + w_i and off-diagonal products w_i w_{i+1}; the pair k (bonds k
+    and k+1) lies in the sublattice of parity k.  When one sublattice has no
+    negative pair product its symmetric form S, with off-diagonal
+    sqrt(w_i w_{i+1}), goes to ``eigvalsh``, and the levels are +-sqrt(mu)
+    over its eigenvalues mu: real for mu > 0, imaginary for mu < 0, each
+    with an exactly zero other part (Golub & Kahan, SIAM J. Numer. Anal. B 2,
+    1965, square a zero-diagonal tridiagonal the same way).  An odd piece
+    holds exactly one zero level, written as 0.0; when S is the larger
+    sublattice its eigenvalue nearest zero is that level and is dropped.
+    Levels whose square root loses digits are refined on the piece's own
+    continuant.
+    """
+    n = len(w) + 1
+    if n == 1:
+        return np.zeros(1, dtype=complex)
+    pairs = w[:-1] * w[1:]
+    # prefer the odd sublattice: on an odd piece it is the smaller one
+    parity = next((s for s in (1, 0) if not np.any(pairs[s::2] < 0.0)), None)
+    if parity is None:
+        raise ValueError(
+            "open chain has no symmetrizable sublattice: its bond products "
+            "u_j l_j change sign more than once"
+        )
+    padded = np.concatenate(([0.0], w, [0.0]))
+    diag = (padded[:-1] + padded[1:])[parity::2]
+    off = np.sqrt(pairs[parity::2])
+    sym = np.diag(diag)  # eigvalsh reads the lower triangle only
+    sym[np.arange(1, len(diag)), np.arange(len(off))] = off
+    mu = np.linalg.eigvalsh(sym)
+    zero = n % 2
+    if zero and parity == 0:
+        mu = np.delete(mu, np.argmin(np.abs(mu)))
+    root = np.sqrt(np.abs(mu))
+    small = np.abs(mu) <= _POLISH_RTOL * np.max(np.abs(mu), initial=0.0)
+    if np.any(small):
+        root[small] = _piece_continuant_newton(w, mu[small])
+    signed = np.concatenate((root, 0.0 - root))
+    mu = np.concatenate((mu, mu))
+    levels = np.zeros(len(signed) + zero, dtype=complex)
+    levels.real[: len(signed)] = np.where(mu > 0.0, signed, 0.0)
+    levels.imag[: len(signed)] = np.where(mu < 0.0, signed, 0.0)
+    return levels
+
+
+def _chain_levels(h: BandedHamiltonian) -> np.ndarray:
+    """Eigenvalues of an open chain, piece by piece between vanishing bonds.
+
+    Every bond whose product u_j l_j is exactly zero cuts the chain, and the
+    spectrum is the union of the pieces' (``_piece_levels``).  The bond
+    products must be real; those of a ramped chain change sign at most once.
+    """
+    if h.length == 0:
+        return np.zeros(0, dtype=complex)
+    w = h.upper * h.lower
+    if np.iscomplexobj(w):
+        if np.any(w.imag):
+            raise ValueError("open chain has non-real bond products u_j l_j")
+        w = w.real
+    cuts = [0, *(np.flatnonzero(w == 0.0) + 1), h.length]
+    return np.concatenate([_piece_levels(w[a : b - 1]) for a, b in zip(cuts[:-1], cuts[1:])])
 
 
 def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
     """Complex spectrum of a banded Hamiltonian.
 
     Rings are handed to LAPACK (``numpy.linalg.eig``).  An open chain takes
-    its eigenvalues from LAPACK on the gauge-similar complex-symmetric form
-    and its eigenvectors from the twisted factorization on the chain itself.
-    Everything is deterministic.  Residuals are ||H v - E v|| against the
-    matrix as given, and a pair that misses the tolerance is flagged in
-    ``unconverged``, not fatal.
+    its eigenvalues from ``eigvalsh`` of a real symmetric sublattice form of
+    H^2 of half its size (``_piece_levels``), so each level is exactly real
+    or exactly imaginary, and its eigenvectors from the twisted
+    factorization on the chain itself.  An open chain whose bond products
+    u_j l_j are not real, or change sign more than once, has no such form
+    and raises ``ValueError``.  Everything is deterministic.  Residuals are
+    ||H v - E v|| against the matrix as given, and a pair that misses the
+    tolerance is flagged in ``unconverged``, not fatal.
     """
     if not isinstance(h, BandedHamiltonian):
         raise TypeError("eig_general expects a banded matrix")
-    dense = h.to_dense() if h.is_pbc else _symmetric_chain(h)
+    if not h.is_pbc:
+        return chain_spectrum(h, _chain_levels(h), want_vectors)
+    dense = h.to_dense()
     if not dense.imag.any():
         # a real matrix keeps its spectrum exactly closed under conjugation
         dense = dense.real
-    if not h.is_pbc:
-        return chain_spectrum(h, np.linalg.eigvals(dense), want_vectors)
     if want_vectors:
         lam, vectors = np.linalg.eig(dense)
     else:

@@ -33,6 +33,21 @@ def dense_matrix(
     return h
 
 
+def complex_symmetric_levels(t: float, gamma: float, length: int) -> np.ndarray:
+    """Open-chain eigenvalues from LAPACK on the complex-symmetric similar form.
+
+    The tridiagonal with both off-diagonals sqrt(u_j l_j + 0j), assembled
+    entry by entry, is diagonally similar to the open chain; its dense
+    complex ``eigvals`` is O(L^3) and leaves rounding-sized parts off the
+    axes, but shares no code with the sublattice route.
+    """
+    h = np.zeros((length, length), dtype=complex)
+    for j in range(1, length):
+        u, lo = t + gamma * j, t - gamma * j
+        h[j - 1, j] = h[j, j - 1] = cmath.sqrt(u * lo + 0j)
+    return np.linalg.eigvals(h)
+
+
 def gauged_hamiltonian_dense(t: float, gamma: float, length: int, d: np.ndarray) -> np.ndarray:
     """D^-1 H D of the open chain for the diagonal gauge entries ``d``."""
     h = dense_matrix(t, gamma, length)

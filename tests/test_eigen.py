@@ -11,6 +11,7 @@ from ramphop import (
     LatticeParams,
     build_flux_twisted,
     build_hamiltonian,
+    classify,
     det_shifted,
     eig_general,
     eig_sym_tridiag,
@@ -19,7 +20,13 @@ from ramphop import (
     spectral_moments,
 )
 from ramphop.eigen import RESIDUAL_RTOL, _snorm, _sprod
-from _oracles import charpoly, contour_roots, dense_matrix, max_pairing_gap
+from _oracles import (
+    charpoly,
+    complex_symmetric_levels,
+    contour_roots,
+    dense_matrix,
+    max_pairing_gap,
+)
 
 
 def _sym(offdiag):
@@ -95,6 +102,66 @@ class TestGeneralSolver:
         s2 = eig_general(h, want_vectors=True)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+_AMPLITUDES = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-3, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=-1e-3),
+)
+
+
+@st.composite
+def _open_ramps(draw):
+    """(t, gamma, L): either sign, t = 0, and exact integer splits t = +-gamma m."""
+    length = draw(st.integers(min_value=2, max_value=60))
+    gamma = draw(_AMPLITUDES)
+    if draw(st.booleans()):
+        # gamma * m - gamma * j is exactly 0 at j = m, so one bond product vanishes
+        t = draw(st.sampled_from([1.0, -1.0])) * gamma * draw(st.integers(1, length - 1))
+    else:
+        t = draw(_AMPLITUDES)
+    return t, gamma, length
+
+
+class TestOpenChainLevels:
+    @given(_open_ramps())
+    @settings(max_examples=150, deadline=None)
+    def test_levels_lie_exactly_on_the_axes_and_match_lapack(self, ramp):
+        t, gamma, length = ramp
+        h = build_hamiltonian(LatticeParams(t=t, gamma=gamma, length=length))
+        lam = eig_general(h).eigenvalues
+        assert classify(lam).counts.n_complex == 0
+        assert np.all((lam.real == 0.0) | (lam.imag == 0.0))
+        oracle = complex_symmetric_levels(t, gamma, length)
+        assert max_pairing_gap(lam, oracle) <= RESIDUAL_RTOL * h.frobenius_norm()
+
+    @pytest.mark.parametrize("gamma, length", [(0.2 * (1 + 1e-9), 12), (1 / 3 * (1 + 1e-11), 14)])
+    def test_levels_near_zero_keep_full_accuracy(self, gamma, length):
+        # just past an odd/odd split one pair of levels is about 1e-5: its mu
+        # sits near rounding of the largest mu, and sqrt(mu) alone is off by
+        # 2e-13 and 3e-12 times ||H||_F here; the continuant polish and the
+        # dense oracle agree to 5e-16
+        h = build_hamiltonian(LatticeParams(t=1.0, gamma=gamma, length=length))
+        lam = eig_general(h).eigenvalues
+        oracle = complex_symmetric_levels(1.0, gamma, length)
+        assert max_pairing_gap(lam, oracle) <= 1e-14 * h.frobenius_norm()
+
+    def test_odd_coupled_chain_lists_one_exact_zero_level(self):
+        lam = eig_general(build_hamiltonian(LatticeParams(t=1.0, gamma=0.07, length=101))).eigenvalues
+        assert np.count_nonzero(lam == 0.0) == 1
+
+    @pytest.mark.parametrize(
+        "upper, lower, condition",
+        [
+            ([1.0, 1.0, 1.0], [1.0, -1.0, 1.0], "change sign more than once"),
+            ([1.0j, 1.0], [1.0, 1.0], "non-real"),
+        ],
+    )
+    def test_chain_without_a_symmetrizable_sublattice_is_rejected(self, upper, lower, condition):
+        h = BandedHamiltonian(len(upper) + 1, np.array(upper), np.array(lower))
+        with pytest.raises(ValueError, match=condition):
+            eig_general(h)
 
 
 class TestDeterminant:
@@ -287,3 +354,16 @@ def test_long_open_chain_eigenvectors_all_converge():
     spec = solve_spectrum(params, want_vectors=True)
     assert not np.any(spec.unconverged)
     assert np.max(spec.residuals) <= RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()
+
+
+def test_long_coupled_chain_meets_the_trace_identities():
+    # 2000 sites at a non-integer split: the sublattice route solves a
+    # 1000-site symmetric problem where dense complex eigvals took seconds
+    params = LatticeParams(t=1.0, gamma=0.00123, length=2000)
+    h = build_hamiltonian(params)
+    lam = solve_spectrum(params).eigenvalues
+    mom = spectral_moments(h)
+    fro = h.frobenius_norm()
+    assert classify(lam).counts.n_complex == 0
+    assert abs(np.sum(lam)) <= 1e-9 * params.length * fro
+    assert abs(np.sum(lam**2) - mom.trace_sq) <= 1e-6 * abs(mom.trace_sq) + 1e-9 * fro**2
