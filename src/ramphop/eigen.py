@@ -349,8 +349,8 @@ def chain_spectrum(h: BandedHamiltonian, eigenvalues, want_vectors: bool) -> Spe
     return _checked(h, lam, vectors)
 
 
-def _piece_continuant_newton(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Refine the levels sqrt|mu| of an unreduced piece by Newton on its continuant.
+def _continuant_newton(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Refine the levels sqrt|mu| of an open chain by Newton on its continuant.
 
     A real level x (mu > 0) is a root of p_k = -x p_{k-1} - w_{k-1} p_{k-2};
     an imaginary level iy (mu < 0) makes y a root of the same real recurrence
@@ -377,27 +377,41 @@ def _piece_continuant_newton(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return x
 
 
-def _piece_levels(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an unreduced zero-diagonal chain with bond products ``w``.
+def _chain_levels(h: BandedHamiltonian) -> np.ndarray:
+    """Eigenvalues of an open zero-diagonal chain from half of H^2.
 
-    H^2 splits over the two sublattices into tridiagonals with diagonal
-    w_{i-1} + w_i and off-diagonal products w_i w_{i+1}; the pair k (bonds k
-    and k+1) lies in the sublattice of parity k.  When one sublattice has no
-    negative pair product its symmetric form S, with off-diagonal
-    sqrt(w_i w_{i+1}), goes to ``eigvalsh``, and the levels are +-sqrt(mu)
-    over its eigenvalues mu: real for mu > 0, imaginary for mu < 0, each
-    with an exactly zero other part (Golub & Kahan, SIAM J. Numer. Anal. B 2,
-    1965, square a zero-diagonal tridiagonal the same way).  An odd piece
-    holds exactly one zero level, written as 0.0; when S is the larger
-    sublattice its eigenvalue nearest zero is that level and is dropped.
-    Levels whose square root loses digits are refined on the piece's own
-    continuant.
+    With bond products w_j = u_j l_j, H^2 splits over the two sublattices
+    into tridiagonals with diagonal w_{i-1} + w_i and off-diagonal products
+    w_i w_{i+1}; the pair k (bonds k and k+1) lies in the sublattice of
+    parity k.  When one sublattice has no negative pair product its
+    symmetric form S, with off-diagonal sqrt(w_i w_{i+1}), goes to
+    ``eigvalsh``, and the levels are +-sqrt(mu) over its eigenvalues mu:
+    real for mu > 0, imaginary for mu < 0, each with an exactly zero other
+    part (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965, square a
+    zero-diagonal tridiagonal the same way).  An odd chain holds one zero
+    level, written as 0.0; when S is the larger sublattice its eigenvalue
+    nearest zero is that level and is dropped.  Levels whose square root
+    loses digits are refined on the chain's continuant.  An exactly
+    vanishing bond needs no cut: S then falls apart into blocks, and the
+    two zero levels of an odd/odd split come out as a polished small pair,
+    not as exact zeros.  The bond products must be real; those of a ramped
+    chain change sign at most once.
     """
-    n = len(w) + 1
-    if n == 1:
-        return np.zeros(1, dtype=complex)
+    n = h.length
+    if n == 0:
+        return np.zeros(0, dtype=complex)
+    # a power-of-two scale to max |u|, |l| near 1 keeps w_j and w_i w_{i+1}
+    # inside float range at any size of t and gamma; it is undone exactly on
+    # the levels
+    top = np.max(np.abs(np.concatenate((h.upper, h.lower))), initial=0.0)
+    scale = 2.0 ** int(np.clip(np.frexp(top)[1], -1020, 1020))
+    w = (h.upper / scale) * (h.lower / scale)
+    if np.iscomplexobj(w):
+        if np.any(w.imag):
+            raise ValueError("open chain has non-real bond products u_j l_j")
+        w = w.real
     pairs = w[:-1] * w[1:]
-    # prefer the odd sublattice: on an odd piece it is the smaller one
+    # prefer the odd sublattice: on an odd chain it is the smaller one
     parity = next((s for s in (1, 0) if not np.any(pairs[s::2] < 0.0)), None)
     if parity is None:
         raise ValueError(
@@ -416,7 +430,8 @@ def _piece_levels(w: np.ndarray) -> np.ndarray:
     root = np.sqrt(np.abs(mu))
     small = np.abs(mu) <= _POLISH_RTOL * np.max(np.abs(mu), initial=0.0)
     if np.any(small):
-        root[small] = _piece_continuant_newton(w, mu[small])
+        root[small] = _continuant_newton(w, mu[small])
+    root *= scale
     signed = np.concatenate((root, 0.0 - root))
     mu = np.concatenate((mu, mu))
     levels = np.zeros(len(signed) + zero, dtype=complex)
@@ -425,30 +440,12 @@ def _piece_levels(w: np.ndarray) -> np.ndarray:
     return levels
 
 
-def _chain_levels(h: BandedHamiltonian) -> np.ndarray:
-    """Eigenvalues of an open chain, piece by piece between vanishing bonds.
-
-    Every bond whose product u_j l_j is exactly zero cuts the chain, and the
-    spectrum is the union of the pieces' (``_piece_levels``).  The bond
-    products must be real; those of a ramped chain change sign at most once.
-    """
-    if h.length == 0:
-        return np.zeros(0, dtype=complex)
-    w = h.upper * h.lower
-    if np.iscomplexobj(w):
-        if np.any(w.imag):
-            raise ValueError("open chain has non-real bond products u_j l_j")
-        w = w.real
-    cuts = [0, *(np.flatnonzero(w == 0.0) + 1), h.length]
-    return np.concatenate([_piece_levels(w[a : b - 1]) for a, b in zip(cuts[:-1], cuts[1:])])
-
-
 def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
     """Complex spectrum of a banded Hamiltonian.
 
     Rings are handed to LAPACK (``numpy.linalg.eig``).  An open chain takes
     its eigenvalues from ``eigvalsh`` of a real symmetric sublattice form of
-    H^2 of half its size (``_piece_levels``), so each level is exactly real
+    H^2 of half its size (``_chain_levels``), so each level is exactly real
     or exactly imaginary, and its eigenvectors from the twisted
     factorization on the chain itself.  An open chain whose bond products
     u_j l_j are not real, or change sign more than once, has no such form

@@ -408,3 +408,12 @@ def test_overflowing_parameters_exit_two(tmp_path, args, capsys):
 def test_large_finite_parameters_still_solve(tmp_path, boundary):
     args = ["--gamma", "1e150", "--length", "5", "--boundary", boundary]
     assert run(["spectrum", *args, "--out", tmp_path / "x"]) == 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "states"])
+@pytest.mark.parametrize("scale", ["1e150", "1e-85"])
+def test_coupled_chain_at_extreme_scale_solves(tmp_path, command, scale):
+    # t / gamma = 2.5: bond products near 1e301 and 1e-169, whose pair
+    # products leave float range
+    args = ["--t", f"2.5{scale[1:]}", "--gamma", scale, "--length", "5"]
+    assert run([command, *args, "--out", tmp_path / "x"]) == 0

@@ -147,6 +147,25 @@ class TestOpenChainLevels:
         oracle = complex_symmetric_levels(1.0, gamma, length)
         assert max_pairing_gap(lam, oracle) <= 1e-14 * h.frobenius_norm()
 
+    @pytest.mark.parametrize("t, gamma", [(2.5e150, 1e150), (2.5e-85, 1e-85)])
+    def test_levels_at_extreme_scale_match_lapack(self, t, gamma):
+        # w_i w_{i+1} is about 1e603 and 1e-339 here, outside float range
+        h = build_hamiltonian(LatticeParams(t=t, gamma=gamma, length=5))
+        lam = eig_general(h).eigenvalues
+        oracle = complex_symmetric_levels(t, gamma, 5)
+        assert max_pairing_gap(lam, oracle) <= RESIDUAL_RTOL * h.frobenius_norm()
+
+    @pytest.mark.parametrize("exponent", [500, -280, -530])
+    def test_levels_scale_exactly_with_a_power_of_two(self, exponent):
+        # at 2**-530 the bond products u_j l_j themselves are subnormal
+        def levels(scale):
+            params = LatticeParams(t=2.5 * scale, gamma=scale, length=12)
+            return eig_general(build_hamiltonian(params)).eigenvalues
+
+        lam, base = levels(math.ldexp(1.0, exponent)), levels(1.0)
+        assert np.array_equal(lam.real, np.ldexp(base.real, exponent))
+        assert np.array_equal(lam.imag, np.ldexp(base.imag, exponent))
+
     def test_odd_coupled_chain_lists_one_exact_zero_level(self):
         lam = eig_general(build_hamiltonian(LatticeParams(t=1.0, gamma=0.07, length=101))).eigenvalues
         assert np.count_nonzero(lam == 0.0) == 1
