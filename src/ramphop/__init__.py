@@ -53,6 +53,7 @@ from .model import (
     build_hamiltonian,
     build_hatano_nelson,
     classify_regime,
+    split_point,
 )
 from .solve import block_spectra, solve_spectrum
 

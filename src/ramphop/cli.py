@@ -30,6 +30,7 @@ from .analysis import (
     localization,
     winding_trace,
 )
+from .eigen import RESIDUAL_RTOL
 from .errors import (
     BasePointOnSpectrumError,
     ConvergenceError,
@@ -122,7 +123,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     chain = params.boundary is Boundary.OBC
     if chain:
         sigma_a, sigma_b = block_spectra(params)
-        tol = 1e-8 * build_hamiltonian(params).frobenius_norm()
+        tol = RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()
         sorted_a = np.sort_complex(sigma_a.astype(complex))
         sorted_b = np.sort_complex(sigma_b)
         # Whether each sorted block level lies within tol of the spectrum.

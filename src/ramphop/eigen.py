@@ -1,15 +1,14 @@
 """Eigensolvers and exact matrix functionals for the chain matrices.
 
-Every matrix here is a ``BandedHamiltonian``.  Eigenvalues come from LAPACK
-through numpy: ``eigvalsh`` for the real symmetric gauge blocks and for the
-half-size real symmetric sublattice form of H^2 of an open chain, whose
-levels are then +-sqrt(mu), and ``eigvals``/``eig`` for rings.  Every
-open-chain and gauge-block eigenvector comes from one O(n) kernel in
-``chain_spectrum``: Fernando's twisted factorization, carried in log
-modulus and phase so that entries far beyond floating range only cost
-underflow of the negligible ones.  Shifted determinants come from the
-tridiagonal continuant recurrence with a carried power-of-two exponent,
-including the rank-two correction for ring closures.
+Every matrix here is a ``BandedHamiltonian``.  An open chain, gauge blocks
+included, takes its levels +-sqrt(mu) from LAPACK ``eigvalsh`` on the
+half-size real symmetric sublattice form of H^2 of each piece between
+exactly vanishing bonds, and its eigenvectors from one O(n) kernel,
+Fernando's twisted factorization, carried in log modulus and phase so that
+entries far beyond floating range only cost underflow of the negligible
+ones.  Rings go to LAPACK ``eigvals``/``eig``.  Shifted determinants come
+from the tridiagonal continuant recurrence with a carried power-of-two
+exponent, including the rank-two correction for ring closures.
 """
 
 from __future__ import annotations
@@ -149,17 +148,17 @@ def _twisted_vectors(upper, lower, eigenvalues) -> np.ndarray:
 
 
 def eig_sym_tridiag(block: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
-    """Eigendecomposition of a real symmetric zero-diagonal gauge block.
+    """Eigendecomposition of an open zero-diagonal chain, such as a gauge block.
 
-    Eigenvalues come from LAPACK ``eigvalsh`` (ascending) and eigenvectors,
-    through ``chain_spectrum``, from the twisted factorization, whose tiny
-    components keep the relative accuracy that log-domain ungauging needs.
-    The gauge blocks are unreduced (no zero off-diagonal), so their
-    eigenvalues are simple; a repeated eigenvalue of a reduced block would
-    get repeated vectors.  Returns the spectrum of the stored real matrix;
-    callers holding an anti-symmetrizable block multiply by i themselves.
+    The open-chain route of ``eig_general``: eigenvalues from the half-size
+    sublattice form of H^2, eigenvectors from the twisted factorization,
+    whose tiny components keep the relative accuracy that log-domain
+    ungauging needs.  A real symmetric block has real levels; callers
+    holding an anti-symmetrizable block multiply by i themselves.
     """
-    return chain_spectrum(block, np.linalg.eigvalsh(block.to_dense().real), want_vectors)
+    if block.is_pbc:
+        raise ValueError("eig_sym_tridiag solves open chains only")
+    return eig_general(block, want_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +333,6 @@ def _checked(h: BandedHamiltonian, lam, vectors) -> Spectrum:
     )
 
 
-def chain_spectrum(h: BandedHamiltonian, eigenvalues, want_vectors: bool) -> Spectrum:
-    """Spectrum of an open chain whose eigenvalues are already known.
-
-    Sorts them by (real, imaginary) part and, when asked, adds the
-    twisted-factorization eigenvectors with their residuals on the banded
-    ``matvec``.  A chain of no sites has an empty spectrum.
-    """
-    lam = np.asarray(eigenvalues, dtype=complex)
-    lam = lam[np.lexsort((lam.imag, lam.real))]
-    if not want_vectors:
-        return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
-    vectors = _twisted_vectors(h.upper, h.lower, lam) if h.length else np.zeros((0, 0), complex)
-    return _checked(h, lam, vectors)
-
-
 def _continuant_newton(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Refine the levels sqrt|mu| of an open chain by Newton on its continuant.
 
@@ -377,28 +361,53 @@ def _continuant_newton(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return x
 
 
+def _piece_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt|mu| and mu over the eigenvalues mu of S for one piece.
+
+    ``w`` are the piece's bond products, none of them zero.  The pair k
+    (bonds k and k+1) lies in the sublattice of parity k; the odd one, the
+    smaller on an odd piece, is preferred.  When S is the larger sublattice
+    of an odd piece, its eigenvalue nearest zero is the zero level, left out.
+    """
+    pairs = w[:-1] * w[1:]
+    parity = next((s for s in (1, 0) if not np.any(pairs[s::2] < 0.0)), None)
+    if parity is None:
+        raise ValueError(
+            "open chain has no symmetrizable sublattice: its bond products "
+            "u_j l_j change sign more than once"
+        )
+    padded = np.concatenate(([0.0], w, [0.0]))
+    diag = (padded[:-1] + padded[1:])[parity::2]
+    sym = np.diag(diag)  # eigvalsh reads the lower triangle only
+    sym[np.arange(1, len(diag)), np.arange(len(diag) - 1)] = np.sqrt(pairs[parity::2])
+    mu = np.linalg.eigvalsh(sym)
+    if len(w) % 2 == 0 and parity == 0:
+        mu = np.delete(mu, np.argmin(np.abs(mu)))
+    root = np.sqrt(np.abs(mu))
+    small = np.abs(mu) <= _POLISH_RTOL * np.max(np.abs(mu), initial=0.0)
+    if np.any(small):
+        root[small] = _continuant_newton(w, mu[small])
+    return root, mu
+
+
 def _chain_levels(h: BandedHamiltonian) -> np.ndarray:
     """Eigenvalues of an open zero-diagonal chain from half of H^2.
 
     With bond products w_j = u_j l_j, H^2 splits over the two sublattices
     into tridiagonals with diagonal w_{i-1} + w_i and off-diagonal products
-    w_i w_{i+1}; the pair k (bonds k and k+1) lies in the sublattice of
-    parity k.  When one sublattice has no negative pair product its
-    symmetric form S, with off-diagonal sqrt(w_i w_{i+1}), goes to
-    ``eigvalsh``, and the levels are +-sqrt(mu) over its eigenvalues mu:
-    real for mu > 0, imaginary for mu < 0, each with an exactly zero other
-    part (Golub & Kahan, SIAM J. Numer. Anal. B 2, 1965, square a
-    zero-diagonal tridiagonal the same way).  An odd chain holds one zero
-    level, written as 0.0; when S is the larger sublattice its eigenvalue
-    nearest zero is that level and is dropped.  Levels whose square root
-    loses digits are refined on the chain's continuant.  An exactly
-    vanishing bond needs no cut: S then falls apart into blocks, and the
-    two zero levels of an odd/odd split come out as a polished small pair,
-    not as exact zeros.  The bond products must be real; those of a ramped
-    chain change sign at most once.
+    w_i w_{i+1}.  The chain is cut at every bond whose product is exactly
+    0.0, and never elsewhere.  On each piece, a sublattice with no negative
+    pair product has the symmetric form S, with off-diagonal
+    sqrt(w_i w_{i+1}), which goes to ``eigvalsh``; the levels are
+    +-sqrt(mu) over its eigenvalues mu: real for mu > 0, imaginary for
+    mu < 0, each with an exactly zero other part (Golub & Kahan, SIAM J.
+    Numer. Anal. B 2, 1965, square a zero-diagonal tridiagonal the same
+    way).  Each piece of odd size holds exactly one zero level, written as
+    0.0 and not polished; other levels whose square root loses digits are
+    refined on the piece's continuant.  The bond products must be real;
+    those of a ramped chain change sign at most once.
     """
-    n = h.length
-    if n == 0:
+    if h.length == 0:
         return np.zeros(0, dtype=complex)
     # a power-of-two scale to max |u|, |l| near 1 keeps w_j and w_i w_{i+1}
     # inside float range at any size of t and gamma; it is undone exactly on
@@ -410,53 +419,39 @@ def _chain_levels(h: BandedHamiltonian) -> np.ndarray:
         if np.any(w.imag):
             raise ValueError("open chain has non-real bond products u_j l_j")
         w = w.real
-    pairs = w[:-1] * w[1:]
-    # prefer the odd sublattice: on an odd chain it is the smaller one
-    parity = next((s for s in (1, 0) if not np.any(pairs[s::2] < 0.0)), None)
-    if parity is None:
-        raise ValueError(
-            "open chain has no symmetrizable sublattice: its bond products "
-            "u_j l_j change sign more than once"
-        )
-    padded = np.concatenate(([0.0], w, [0.0]))
-    diag = (padded[:-1] + padded[1:])[parity::2]
-    off = np.sqrt(pairs[parity::2])
-    sym = np.diag(diag)  # eigvalsh reads the lower triangle only
-    sym[np.arange(1, len(diag)), np.arange(len(off))] = off
-    mu = np.linalg.eigvalsh(sym)
-    zero = n % 2
-    if zero and parity == 0:
-        mu = np.delete(mu, np.argmin(np.abs(mu)))
-    root = np.sqrt(np.abs(mu))
-    small = np.abs(mu) <= _POLISH_RTOL * np.max(np.abs(mu), initial=0.0)
-    if np.any(small):
-        root[small] = _continuant_newton(w, mu[small])
-    root *= scale
+    edges = np.concatenate(([-1], np.flatnonzero(w == 0.0), [len(w)]))
+    pieces = [w[a + 1 : b] for a, b in zip(edges[:-1], edges[1:])]
+    roots, mus = zip(*(_piece_roots(piece) for piece in pieces))
+    root = np.concatenate(roots) * scale
+    mu = np.concatenate(mus * 2)
     signed = np.concatenate((root, 0.0 - root))
-    mu = np.concatenate((mu, mu))
-    levels = np.zeros(len(signed) + zero, dtype=complex)
+    zeros = sum(len(piece) % 2 == 0 for piece in pieces)
+    levels = np.zeros(len(signed) + zeros, dtype=complex)
     levels.real[: len(signed)] = np.where(mu > 0.0, signed, 0.0)
     levels.imag[: len(signed)] = np.where(mu < 0.0, signed, 0.0)
     return levels
 
 
 def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
-    """Complex spectrum of a banded Hamiltonian.
+    """Complex spectrum of a banded Hamiltonian, sorted by (real, imaginary) part.
 
-    Rings are handed to LAPACK (``numpy.linalg.eig``).  An open chain takes
-    its eigenvalues from ``eigvalsh`` of a real symmetric sublattice form of
-    H^2 of half its size (``_chain_levels``), so each level is exactly real
+    An open chain takes its levels from ``_chain_levels``, each exactly real
     or exactly imaginary, and its eigenvectors from the twisted
-    factorization on the chain itself.  An open chain whose bond products
-    u_j l_j are not real, or change sign more than once, has no such form
-    and raises ``ValueError``.  Everything is deterministic.  Residuals are
-    ||H v - E v|| against the matrix as given, and a pair that misses the
-    tolerance is flagged in ``unconverged``, not fatal.
+    factorization; bond products that are not real, or change sign more
+    than once within a piece, raise ``ValueError``.  Rings go to LAPACK
+    ``eig``, whose last digits can change with the BLAS thread count.
+    Residuals are ||H v - E v|| against the matrix as given, and a pair that
+    misses the tolerance is flagged in ``unconverged``, not fatal.
     """
     if not isinstance(h, BandedHamiltonian):
         raise TypeError("eig_general expects a banded matrix")
     if not h.is_pbc:
-        return chain_spectrum(h, _chain_levels(h), want_vectors)
+        lam = _chain_levels(h)
+        lam = lam[np.lexsort((lam.imag, lam.real))]
+        if not want_vectors:
+            return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
+        vectors = _twisted_vectors(h.upper, h.lower, lam) if h.length else np.zeros((0, 0), complex)
+        return _checked(h, lam, vectors)
     dense = h.to_dense()
     if not dense.imag.any():
         # a real matrix keeps its spectrum exactly closed under conjugation

@@ -19,10 +19,9 @@ from .model import (
     BandedHamiltonian,
     Boundary,
     LatticeParams,
-    Regime,
     RegimeKind,
     bond_amplitudes,
-    classify_regime,
+    split_point,
 )
 
 # Written out so that every zero part is +0.0.
@@ -81,20 +80,6 @@ class BlockDecomposition:
         return self.block_a.length
 
 
-def _split_point(params: LatticeParams) -> tuple[Regime, int]:
-    """The regime and p, the number of sites in block A (sites 1..p).
-
-    p is L for a symmetrizable chain and 0 for an anti-symmetrizable one.
-    Bond p joins the blocks and every bond past it is anti-symmetrizable:
-    by position, not by the floating sign of t_j t'_j, so a snapped
-    near-integer split bond never leaks into a block interior.
-    """
-    regime = classify_regime(params)
-    if regime.split is not None:
-        return regime, regime.split
-    return regime, 0 if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE else params.length
-
-
 def _log_gauge(upper: np.ndarray, lower: np.ndarray, start: int, stop: int) -> np.ndarray:
     """log d on the 0-based sites start..stop-1, from d = 1 at ``start``.
 
@@ -136,7 +121,7 @@ def gauge_vector(params: LatticeParams) -> GaugeVector:
     d_{j+1}/d_j = sqrt|t'_j / t_j| inside each block, times i on every bond
     past the split; the gauge resets to d = 1 just past the split bond.
     """
-    regime, p = _split_point(params)
+    regime, p = split_point(params)
     return _gauge(params, p, [1] if regime.split is None else [1, p + 1])
 
 
@@ -150,7 +135,7 @@ def hermitize(params: LatticeParams) -> BlockDecomposition:
     """
     if params.boundary is Boundary.PBC:
         raise RegimeMismatchError("the open-chain gauge does not close around a ring")
-    regime, p = _split_point(params)
+    regime, p = split_point(params)
     n = params.length
     upper, lower = bond_amplitudes(params.t, params.gamma, n)
     off = _symmetric_bonds(upper, lower)
@@ -179,7 +164,7 @@ def balanced_form(params: LatticeParams) -> tuple[np.ndarray, GaugeVector]:
     i sgn(t_j) sqrt(|t_j t'_j|).  All entries stay of order of the raw
     amplitudes, which is what makes the dense solve well behaved.
     """
-    regime, p = _split_point(params)
+    regime, p = split_point(params)
     if regime.kind is RegimeKind.INTEGER_SPLIT:
         raise DegenerateBondError(
             "integer |t/gamma| has an exactly vanishing bond; use hermitize"

@@ -97,6 +97,20 @@ def classify_regime(params: LatticeParams) -> Regime:
     return Regime(RegimeKind.NON_INTEGER_SPLIT, split=s)
 
 
+def split_point(params: LatticeParams) -> tuple[Regime, int]:
+    """The regime and p, the number of sites left of the split bond.
+
+    p is L for a symmetrizable chain and 0 for an anti-symmetrizable one.
+    Every bond past p is anti-symmetrizable by position, not by the floating
+    sign of t_j t'_j, so a snapped near-integer split bond stays out of both
+    blocks.
+    """
+    regime = classify_regime(params)
+    if regime.split is not None:
+        return regime, regime.split
+    return regime, 0 if regime.kind is RegimeKind.FULLY_ANTI_HERMITIZABLE else params.length
+
+
 @dataclass(frozen=True, eq=False)
 class BandedHamiltonian:
     """Zero-diagonal tridiagonal matrix, optionally closed into a ring.

@@ -1,36 +1,40 @@
-"""Regime-routed spectrum solver for the ramped chain.
+"""Spectrum solver for the ramped chain, and its block overlay.
 
-Rings and coupled open chains (non-integer split) go to the general solver.
-Every other open chain decouples under the gauge transform: its exact real
-and imaginary eigenvalues are those of the two symmetric gauge blocks, and
-its eigenvectors come from the twisted factorization in the physical frame.
+Every chain goes to ``eig_general``: a ring to LAPACK, an open chain to the
+half-size sublattice route, which cuts it only at bonds whose product
+vanishes exactly, so each answer belongs to the matrix as built.  The block
+spectra are the levels of the open chain's two pieces on either side of the
+split bond, from that same route.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .eigen import Spectrum, chain_spectrum, eig_general, eig_sym_tridiag
-from .gauge import hermitize
-from .model import Boundary, LatticeParams, build_hamiltonian, classify_regime
+from .eigen import Spectrum, eig_general
+from .errors import RegimeMismatchError
+from .model import BandedHamiltonian, Boundary, LatticeParams, build_hamiltonian, split_point
 
 
 def solve_spectrum(params: LatticeParams, want_vectors: bool = False) -> Spectrum:
     """Full spectrum (optionally with right eigenvectors) of the chain."""
-    h = build_hamiltonian(params)
-    if params.boundary is Boundary.PBC or not classify_regime(params).decoupled:
-        return eig_general(h, want_vectors)
-    sigma_a, sigma_b = block_spectra(params)
-    return chain_spectrum(h, np.concatenate([sigma_a, sigma_b]), want_vectors)
+    return eig_general(build_hamiltonian(params), want_vectors)
 
 
 def block_spectra(params: LatticeParams) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the two gauge blocks: (real block, i * anti block).
 
-    For decoupled regimes their union is the exact spectrum; for non-integer
-    |t/gamma| it is the approximation the coupled chain is compared against.
+    These are the levels of the open chain's sites 1..p and p+1..L, with
+    the split bond p left out: the gauge keeps every bond product u_j l_j,
+    which is all the levels depend on.  For decoupled regimes their union is
+    the exact spectrum; for non-integer |t/gamma| it is the approximation
+    the coupled chain is compared against.
     """
-    dec = hermitize(params)
-    sigma_a = eig_sym_tridiag(dec.block_a).eigenvalues.real
-    sigma_b = 1j * eig_sym_tridiag(dec.block_b).eigenvalues
-    return sigma_a, sigma_b
+    if params.boundary is Boundary.PBC:
+        raise RegimeMismatchError("the block split is defined on the open chain only")
+    _, p = split_point(params)
+    h = build_hamiltonian(params)
+    inner = slice(0, max(p - 1, 0))
+    left = BandedHamiltonian(p, h.upper[inner], h.lower[inner])
+    right = BandedHamiltonian(h.length - p, h.upper[p:], h.lower[p:])
+    return eig_general(left).eigenvalues.real, eig_general(right).eigenvalues

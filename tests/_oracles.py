@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from ramphop import hermitize
+
 
 def dense_matrix(
     t: float,
@@ -46,6 +48,25 @@ def complex_symmetric_levels(t: float, gamma: float, length: int) -> np.ndarray:
         u, lo = t + gamma * j, t - gamma * j
         h[j - 1, j] = h[j, j - 1] = cmath.sqrt(u * lo + 0j)
     return np.linalg.eigvals(h)
+
+
+def gauge_block_levels(params) -> tuple[np.ndarray, np.ndarray]:
+    """Block levels of the gauge route: dense ``eigvalsh`` of ``hermitize``'s blocks.
+
+    Returns (levels of block A, i times levels of block B), each ascending.
+    This keeps the dense gauge-block solve as a reference for the block
+    spectra, which the package computes on the physical sub-chains.
+    """
+
+    def levels(block):
+        dense = np.zeros((block.length, block.length))
+        idx = np.arange(block.length - 1)
+        dense[idx, idx + 1] = block.upper
+        dense[idx + 1, idx] = block.lower
+        return np.linalg.eigvalsh(dense)
+
+    dec = hermitize(params)
+    return levels(dec.block_a), 1j * levels(dec.block_b)
 
 
 def gauged_hamiltonian_dense(t: float, gamma: float, length: int, d: np.ndarray) -> np.ndarray:

@@ -68,6 +68,12 @@ class TestSpectrumCommand:
             assert abs(float(row["im"]) - entry["im"]) <= 1e-12
             assert row["class"] == entry["class"]
 
+    def test_snapped_integer_split_exits_zero(self, tmp_path):
+        # |t/gamma| = 7 within the regime's 1e-12 while the split bond product
+        # is -1.6e-16: the levels of the matrix as built meet the tolerance
+        args = ["--t", "0.7", "--gamma", "0.1", "--length", "100"]
+        assert run(["spectrum", *args, "--out", tmp_path / "s"]) == 0
+
     def test_long_ring_converges(self, tmp_path):
         out = tmp_path / "ring"
         assert run(
@@ -94,6 +100,14 @@ class TestLongOpenChains:
     def test_coupled_chain_converges(self, tmp_path):
         out = tmp_path / "coupled"
         assert run(["spectrum", "--gamma", "0.00123", "--length", "1000", "--out", out]) == 0
+
+    @pytest.mark.parametrize("gamma", ["0.0007", "0.0008"])
+    def test_chain_past_the_gauge_range_runs_clean(self, tmp_path, capsys, gamma):
+        # at L = 1500 the gauge at the split underflows; coupled (0.0007) and
+        # split at site 1250 (0.0008), neither solve may touch it
+        args = ["--gamma", gamma, "--length", "1500"]
+        assert run(["spectrum", *args, "--out", tmp_path / "long"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSweepCommand:

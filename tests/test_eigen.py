@@ -20,6 +20,7 @@ from ramphop import (
     spectral_moments,
 )
 from ramphop.eigen import RESIDUAL_RTOL, _snorm, _sprod
+from _strategies import open_ramps
 from _oracles import (
     charpoly,
     complex_symmetric_levels,
@@ -104,28 +105,8 @@ class TestGeneralSolver:
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
 
-_AMPLITUDES = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=1e-3, max_value=2.0),
-    st.floats(min_value=-2.0, max_value=-1e-3),
-)
-
-
-@st.composite
-def _open_ramps(draw):
-    """(t, gamma, L): either sign, t = 0, and exact integer splits t = +-gamma m."""
-    length = draw(st.integers(min_value=2, max_value=60))
-    gamma = draw(_AMPLITUDES)
-    if draw(st.booleans()):
-        # gamma * m - gamma * j is exactly 0 at j = m, so one bond product vanishes
-        t = draw(st.sampled_from([1.0, -1.0])) * gamma * draw(st.integers(1, length - 1))
-    else:
-        t = draw(_AMPLITUDES)
-    return t, gamma, length
-
-
 class TestOpenChainLevels:
-    @given(_open_ramps())
+    @given(open_ramps())
     @settings(max_examples=150, deadline=None)
     def test_levels_lie_exactly_on_the_axes_and_match_lapack(self, ramp):
         t, gamma, length = ramp
@@ -133,6 +114,11 @@ class TestOpenChainLevels:
         lam = eig_general(h).eigenvalues
         assert classify(lam).counts.n_complex == 0
         assert np.all((lam.real == 0.0) | (lam.imag == 0.0))
+        # the chain is cut at each exactly vanishing bond product, and each
+        # piece of odd size lists its zero level as exactly 0.0
+        cuts = np.flatnonzero(h.upper * h.lower == 0.0)
+        sizes = np.diff(np.concatenate(([0], cuts + 1, [length])))
+        assert np.count_nonzero(lam == 0.0) == np.count_nonzero(sizes % 2)
         oracle = complex_symmetric_levels(t, gamma, length)
         assert max_pairing_gap(lam, oracle) <= RESIDUAL_RTOL * h.frobenius_norm()
 
@@ -169,6 +155,12 @@ class TestOpenChainLevels:
     def test_odd_coupled_chain_lists_one_exact_zero_level(self):
         lam = eig_general(build_hamiltonian(LatticeParams(t=1.0, gamma=0.07, length=101))).eigenvalues
         assert np.count_nonzero(lam == 0.0) == 1
+
+    def test_odd_odd_split_lists_two_exact_zero_levels(self):
+        # 1 - 0.04 * 25 is exactly 0.0: pieces of 25 and 75 sites, whose zero
+        # levels are structural and not left to rounding
+        lam = eig_general(build_hamiltonian(LatticeParams(t=1.0, gamma=0.04, length=100))).eigenvalues
+        assert np.count_nonzero(lam == 0.0) == 2
 
     @pytest.mark.parametrize(
         "upper, lower, condition",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ramphop import (
     Boundary,
@@ -14,7 +15,8 @@ from ramphop import (
     solve_spectrum,
 )
 from ramphop.eigen import RESIDUAL_RTOL
-from _oracles import max_pairing_gap
+from _oracles import complex_symmetric_levels, gauge_block_levels, max_pairing_gap
+from _strategies import open_ramps
 
 
 def _residual_tol(params):
@@ -91,6 +93,32 @@ def test_odd_odd_integer_split_lists_its_jordan_zero_level_twice():
     assert np.max(np.abs(spec.eigenvalues[zero])) < 1e-12
     v0, v1 = spec.eigenvectors[:, zero].T
     assert abs(np.vdot(v0, v1)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t, gamma, length", [(0.3, 0.1, 50), (0.7, 0.1, 12)])
+def test_snapped_integer_split_solves_the_matrix_as_built(t, gamma, length):
+    # |t/gamma| is an integer within the regime's 1e-12, but the split bond
+    # products are -3.3e-17 and -1.6e-16, not 0: the levels must be this
+    # matrix's, not those of its two blocks
+    params = LatticeParams(t=t, gamma=gamma, length=length)
+    h = build_hamiltonian(params)
+    spec = solve_spectrum(params, want_vectors=True)
+    assert not np.any(spec.unconverged)
+    oracle = complex_symmetric_levels(t, gamma, length)
+    assert max_pairing_gap(spec.eigenvalues, oracle) <= RESIDUAL_RTOL * h.frobenius_norm()
+
+
+@given(open_ramps())
+@settings(max_examples=150, deadline=None)
+def test_block_spectra_match_the_dense_gauge_blocks(ramp):
+    t, gamma, length = ramp
+    params = LatticeParams(t=t, gamma=gamma, length=length)
+    tol = RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()
+    sigma_a, sigma_b = block_spectra(params)
+    ref_a, ref_b = gauge_block_levels(params)
+    assert len(sigma_a) == len(ref_a) and len(sigma_b) == len(ref_b)
+    assert max_pairing_gap(sigma_a, ref_a) <= tol
+    assert max_pairing_gap(sigma_b, ref_b) <= tol
 
 
 def test_block_spectra_shapes_and_reality():
