@@ -56,6 +56,8 @@ class EigenClass(str, Enum):
 
 @dataclass(frozen=True)
 class ClassifiedValue:
+    """One level of ``ClassifiedSpectrum.entries``."""
+
     value: complex
     label: EigenClass
     index_in_class: int
@@ -72,61 +74,78 @@ class ClassCounts:
         return self.n_real + self.n_imaginary + self.n_complex
 
 
+# Class codes index this tuple: 0 real, 1 imaginary, 2 complex.
+CLASSES = tuple(EigenClass)
+_CLASS_NAMES = np.array([label.value for label in CLASSES])
+
+
 @dataclass(eq=False)
 class ClassifiedSpectrum:
-    entries: list[ClassifiedValue]
+    """Axis classes of a spectrum, held as one column per property.
+
+    ``eigenvalues`` keeps the input order; ``codes`` holds each level's
+    class code (its position in ``CLASSES``) and ``ranks`` its position
+    inside its class.  ``order`` lists the level indices class by class,
+    real then imaginary then complex, each class in rank order.
+    """
+
+    eigenvalues: np.ndarray
+    codes: np.ndarray
+    ranks: np.ndarray
+    order: np.ndarray
     counts: ClassCounts
     tolerance: float
 
+    def class_names(self) -> np.ndarray:
+        """The class name of each level, in eigenvalue order."""
+        return _CLASS_NAMES[self.codes]
+
+    def mask(self, label: EigenClass) -> np.ndarray:
+        """Whether each level, in eigenvalue order, belongs to one class."""
+        return self.codes == CLASSES.index(label)
+
     def values(self, label: EigenClass) -> np.ndarray:
         """Members of one class, sorted by their class ordering."""
-        picked = [e for e in self.entries if e.label is label]
-        picked.sort(key=lambda e: e.index_in_class)
-        return np.array([e.value for e in picked], dtype=complex)
+        return self.eigenvalues[self.order[self.mask(label)[self.order]]]
+
+    @property
+    def entries(self) -> list[ClassifiedValue]:
+        """One record per level in eigenvalue order, built from the columns."""
+        rows = zip(self.eigenvalues.tolist(), self.codes.tolist(), self.ranks.tolist())
+        return [ClassifiedValue(value, CLASSES[code], rank) for value, code, rank in rows]
 
 
 def classify(spectrum: Spectrum | np.ndarray) -> ClassifiedSpectrum:
     """Label each eigenvalue by its distance to the real and imaginary axes.
 
     A value within tolerance of both axes (i.e. near the origin) counts as
-    real, which keeps zero modes on the real ladder.
+    real, which keeps zero modes on the real ladder.  Inside its class a
+    level is ranked by its real part (real class), its imaginary part
+    (imaginary class) or its real then imaginary part (complex class); ties
+    keep eigenvalue order.
     """
     if isinstance(spectrum, Spectrum):
         if bool(np.any(spectrum.unconverged)):
             raise ValueError("spectrum carries unconverged eigenpairs")
-        values = spectrum.eigenvalues
-    else:
-        values = np.asarray(spectrum, dtype=complex)
+        spectrum = spectrum.eigenvalues
+    values = np.asarray(spectrum, dtype=complex)
     radius = float(np.max(np.abs(values))) if len(values) else 0.0
     tolerance = CLASS_TOL_SCALE * max(1.0, radius)
-
-    def _label(v: complex) -> EigenClass:
-        if abs(v.imag) <= tolerance:
-            return EigenClass.REAL  # near the origin this wins the tie
-        if abs(v.real) <= tolerance:
-            return EigenClass.IMAGINARY
-        return EigenClass.COMPLEX
-
-    labels = [_label(v) for v in values]
-    entries: list[ClassifiedValue] = [None] * len(values)  # type: ignore[list-item]
-    counts = {EigenClass.REAL: 0, EigenClass.IMAGINARY: 0, EigenClass.COMPLEX: 0}
-    for label, key in (
-        (EigenClass.REAL, lambda i: values[i].real),
-        (EigenClass.IMAGINARY, lambda i: values[i].imag),
-        (EigenClass.COMPLEX, lambda i: (values[i].real, values[i].imag)),
-    ):
-        members = [i for i in range(len(values)) if labels[i] is label]
-        members.sort(key=key)
-        counts[label] = len(members)
-        for rank, i in enumerate(members):
-            entries[i] = ClassifiedValue(complex(values[i]), label, rank)
+    re, im = values.real, values.imag
+    # near the origin the real class wins the tie
+    codes = np.where(np.abs(im) <= tolerance, 0, np.where(np.abs(re) <= tolerance, 1, 2))
+    # np.lexsort is stable and sorts by its last key first
+    order = np.lexsort((np.where(codes == 2, im, 0.0), np.where(codes == 1, im, re), codes))
+    counts = np.bincount(codes, minlength=len(CLASSES))
+    starts = np.cumsum(counts) - counts
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.arange(len(values)) - starts[codes[order]]
     return ClassifiedSpectrum(
-        entries=entries,
-        counts=ClassCounts(
-            counts[EigenClass.REAL],
-            counts[EigenClass.IMAGINARY],
-            counts[EigenClass.COMPLEX],
-        ),
+        eigenvalues=values,
+        codes=codes,
+        ranks=ranks,
+        order=order,
+        counts=ClassCounts(*counts.tolist()),
         tolerance=float(tolerance),
     )
 
@@ -147,9 +166,9 @@ class LadderStats:
 def level_spacings(cs: ClassifiedSpectrum, which: EigenClass) -> LadderStats:
     """Consecutive spacings of one sorted ladder, over its interior window."""
     if which is EigenClass.REAL:
-        levels = np.sort(cs.values(EigenClass.REAL).real)
+        levels = np.sort(cs.values(which).real)
     elif which is EigenClass.IMAGINARY:
-        levels = np.sort(cs.values(EigenClass.IMAGINARY).imag)
+        levels = np.sort(cs.values(which).imag)
     else:
         raise ValueError("spacings are defined for the real or imaginary ladder")
     n = len(levels)
@@ -395,14 +414,15 @@ def decoupling_check(params: LatticeParams) -> DecouplingReport:
     dec = hermitize(params)
     ga = gauge_vector(params)
     spec_a = eig_sym_tridiag(dec.block_a, want_vectors=True)
-    max_res = 0.0
-    max_tail = 0.0
+    residuals = np.zeros(spec_a.size)
+    tails = np.zeros(spec_a.size)
     for idx in range(spec_a.size):
-        padded = np.zeros(params.length, dtype=complex)
-        padded[:m] = spec_a.eigenvectors[:, idx]
-        v = ungauge(ga, padded)
-        max_tail = max(max_tail, float(np.max(np.abs(v[m:]))) if m < params.length else 0.0)
-        max_res = max(max_res, residual(h, spec_a.eigenvalues[idx], v))
+        v = ungauge(ga, np.pad(spec_a.eigenvectors[:, idx], (0, params.length - m)))
+        tails[idx] = np.max(np.abs(v[m:]), initial=0.0)
+        residuals[idx] = residual(h, spec_a.eigenvalues[idx], v)
+    # np.max carries a nan through, and a nan fails both comparisons
+    max_res = float(np.max(residuals, initial=0.0))
+    max_tail = float(np.max(tails, initial=0.0))
     return DecouplingReport(
         ok=max_res < tol and max_tail < DECOUPLING_TAIL_TOL,
         split=m,

@@ -63,9 +63,6 @@ FIGURES: dict[str, dict] = {
     "5b": {"gamma": 0.01, "length": 400, "spectrum": True, "pbc_spectrum": True, "states": "all"},
 }
 
-_CLASS_ORDER = {EigenClass.REAL: 0, EigenClass.IMAGINARY: 1, EigenClass.COMPLEX: 2}
-
-
 def _params(args: argparse.Namespace) -> LatticeParams:
     return LatticeParams(
         t=args.t, gamma=args.gamma, length=args.length, boundary=Boundary(args.boundary)
@@ -154,42 +151,32 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_rows_for(cs, gamma: float) -> list[dict]:
-    ordered = sorted(
-        cs.entries, key=lambda e: (_CLASS_ORDER[e.label], e.index_in_class)
-    )
-    return [
-        {
-            "gamma": gamma,
-            "eigen_index": e.index_in_class,
-            "re": e.value.real,
-            "im": e.value.imag,
-            "class": e.label.value,
-            "n_real": cs.counts.n_real,
-            "n_imaginary": cs.counts.n_imaginary,
-        }
-        for e in ordered
-    ]
-
-
-def _sweep_point(task: tuple[float, float, int, str]) -> list[dict]:
+def _sweep_point(task: tuple[float, float, int, str]) -> dict:
+    """One gamma point's rows, class by class in rank order, or its one ``failed`` row."""
     t, gamma, length, boundary = task
     params = LatticeParams(t=t, gamma=gamma, length=length, boundary=Boundary(boundary))
     try:
         cs = classify(solve_spectrum(params))
     except (ConvergenceError, np.linalg.LinAlgError):
-        return [
-            {
-                "gamma": gamma,
-                "eigen_index": -1,
-                "re": math.nan,
-                "im": math.nan,
-                "class": "failed",
-                "n_real": -1,
-                "n_imaginary": -1,
-            }
-        ]
-    return _sweep_rows_for(cs, gamma)
+        return {
+            "gamma": [gamma],
+            "eigen_index": [-1],
+            "re": [math.nan],
+            "im": [math.nan],
+            "class": ["failed"],
+            "n_real": [-1],
+            "n_imaginary": [-1],
+        }
+    order = cs.order
+    return {
+        "gamma": np.full(len(order), gamma),
+        "eigen_index": cs.ranks[order],
+        "re": cs.eigenvalues.real[order],
+        "im": cs.eigenvalues.imag[order],
+        "class": cs.class_names()[order],
+        "n_real": np.full(len(order), cs.counts.n_real),
+        "n_imaginary": np.full(len(order), cs.counts.n_imaginary),
+    }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -209,9 +196,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(task) for task in tasks]
-    rows = [row for point_rows in results for row in point_rows]
+    columns = {name: np.concatenate([r[name] for r in results]) for name in results[0]}
     if args.format == "csv":
-        rio.write_sweep_csv(Path(f"{args.out}_sweep.csv"), rows)
+        rio.write_sweep_csv(Path(f"{args.out}_sweep.csv"), columns)
     else:
         doc = {
             "config": _config(args)
@@ -220,7 +207,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "gamma_max": args.gamma_max,
                 "gamma_steps": args.gamma_steps,
             },
-            "rows": rows,
+            "rows": rio.table_rows(columns),
         }
         rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
@@ -238,27 +225,26 @@ def _parse_select(select: str) -> tuple[str, complex | None]:
     raise ValueError(f"unknown selection {select!r}")
 
 
-def _select_states(cs, eigenvalues: np.ndarray, select: str) -> list[int]:
+def _select_states(cs, select: str) -> np.ndarray:
     kind, point = _parse_select(select)
     if kind == "all":
-        return list(range(len(eigenvalues)))
+        return np.arange(len(cs.eigenvalues))
     if kind == "nearest":
-        return [int(np.argmin(np.abs(eigenvalues - point)))]
-    wanted = EigenClass.REAL if kind == "real" else EigenClass.IMAGINARY
-    return [i for i, e in enumerate(cs.entries) if e.label is wanted]
+        return np.array([np.argmin(np.abs(cs.eigenvalues - point))])
+    return np.flatnonzero(cs.mask(EigenClass.REAL if kind == "real" else EigenClass.IMAGINARY))
 
 
 def cmd_states(args: argparse.Namespace) -> int:
     params = _params(args)
     spec = _solve_with_vectors(params)
     cs = classify(spec)
-    picked = _select_states(cs, spec.eigenvalues, args.select)
-    if not picked:
+    picked = _select_states(cs, args.select)
+    if not len(picked):
         raise ValueError(f"selection {args.select!r} matched no states")
     amps = np.abs(spec.eigenvectors[:, picked])
     profiles = amps / amps.max(axis=0)[None, :]
-    summary = []
-    for col, idx in enumerate(picked):
+    metrics = []
+    for idx in picked.tolist():
         v = spec.eigenvectors[:, idx]
         loc = localization(v)
         try:
@@ -266,20 +252,15 @@ def cmd_states(args: argparse.Namespace) -> int:
             env_fields = (fit.center, fit.width_param, fit.rms_error)
         except DegenerateSupportError:
             env_fields = (math.nan, math.nan, math.nan)
-        summary.append(
-            {
-                "state_id": col,
-                "eigen_re": spec.eigenvalues[idx].real,
-                "eigen_im": spec.eigenvalues[idx].imag,
-                "class": cs.entries[idx].label.value,
-                "centroid": loc.centroid,
-                "ipr": loc.ipr,
-                "argmax_site": loc.argmax_site,
-                "env_center": env_fields[0],
-                "env_width": env_fields[1],
-                "env_rms": env_fields[2],
-            }
-        )
+        metrics.append((loc.centroid, loc.ipr, loc.argmax_site, *env_fields))
+    metric_names = ("centroid", "ipr", "argmax_site", "env_center", "env_width", "env_rms")
+    summary = {
+        "state_id": np.arange(len(picked)),
+        "eigen_re": spec.eigenvalues[picked].real,
+        "eigen_im": spec.eigenvalues[picked].imag,
+        "class": cs.class_names()[picked],
+        **dict(zip(metric_names, zip(*metrics))),
+    }
     envelope = global_envelope(spec.eigenvectors)
     peak_site = float(np.argmax(envelope) + 1)
     try:
@@ -299,16 +280,13 @@ def cmd_states(args: argparse.Namespace) -> int:
             "regime": _regime_dict(params),
             "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
             "states": [
-                {
-                    **summary[col],
-                    "amplitudes": [float(a) for a in profiles[:, col]],
-                }
-                for col in range(len(picked))
+                row | {"amplitudes": profiles[:, col].tolist()}
+                for col, row in enumerate(rio.table_rows(summary))
             ],
             "analysis": {
                 "ladder": _ladder_json(cs),
                 "envelopes": {
-                    "global": [float(a) for a in envelope],
+                    "global": envelope.tolist(),
                     "fit": rio.envelope_fit_json(env_fit) if env_fit else None,
                     "fit_at_peak": rio.envelope_fit_json(env_fit_peak)
                     if env_fit_peak
@@ -339,9 +317,9 @@ def cmd_winding(args: argparse.Namespace) -> int:
                 "winding": {
                     "value": trace.winding,
                     "point_gap": trace.point_gap,
-                    "theta": [float(x) for x in trace.thetas],
-                    "det_log_abs": [float(x) for x in trace.det_log_abs],
-                    "det_phase": [float(x) for x in trace.det_phase],
+                    "theta": trace.thetas.tolist(),
+                    "det_log_abs": trace.det_log_abs.tolist(),
+                    "det_phase": trace.det_phase.tolist(),
                 }
             },
         }

@@ -199,8 +199,11 @@ def ungauge(gauge: GaugeVector, transformed_vec: np.ndarray) -> np.ndarray:
     if not np.isfinite(shift):
         raise OverflowError("gauge magnitudes overflow the representable range")
     unit = np.ones(gauge.length, dtype=complex)
-    nz = amp > 0.0
-    unit[nz] = w[nz] / amp[nz]
+    # numpy forms w / |w| through 1 / |w|, which overflows for a subnormal |w|
+    normal = amp >= np.finfo(float).tiny
+    unit[normal] = w[normal] / amp[normal]
+    sub = (amp > 0.0) & ~normal
+    unit[sub] = np.exp(1j * np.angle(w[sub]))
     out = np.exp(log_v - shift) * unit * gauge.phases()
     return out
 

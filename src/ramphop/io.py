@@ -25,26 +25,44 @@ import numpy as np
 from .analysis import ClassifiedSpectrum, EnvelopeFit, WindingTrace
 
 
-def _f(x) -> str:
-    return repr(float(x))
+def _text(col) -> np.ndarray:
+    """Cell text as an object array: ``repr`` of a float (its shortest round-trip
+    form), ``str`` of anything else; an object array is text already."""
+    col = np.asarray(col)
+    if col.dtype == object:
+        return col
+    return np.array(list(map(repr if col.dtype.kind == "f" else str, col.tolist())), dtype=object)
 
 
-def _write(path: Path, lines: list[str]) -> None:
+def _write_table(path: Path, columns: dict, footer: str | None = None) -> None:
+    """Write equal-length columns as CSV, headed by their names."""
+    cells = [_text(col) for col in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
+    if footer is not None:
+        lines.append(footer)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_spectrum_csv(
-    path: Path, cs: ClassifiedSpectrum, residuals: np.ndarray | None
-) -> None:
-    lines = ["index,re,im,class,residual"]
-    for i, entry in enumerate(cs.entries):
-        res = residuals[i] if residuals is not None else 0.0
-        lines.append(
-            f"{i},{_f(entry.value.real)},{_f(entry.value.imag)},"
-            f"{entry.label.value},{_f(res)}"
-        )
-    _write(path, lines)
+def table_rows(columns: dict) -> list[dict]:
+    """The JSON form of a column table: one dict per row, keys in column order."""
+    values = [np.asarray(col).tolist() for col in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
+
+
+def _spectrum_columns(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> dict:
+    """Each level in eigenvalue order with its class and residual."""
+    return {
+        "re": cs.eigenvalues.real,
+        "im": cs.eigenvalues.imag,
+        "class": cs.class_names(),
+        "residual": np.zeros(len(cs.eigenvalues)) if residuals is None else residuals,
+    }
+
+
+def write_spectrum_csv(path: Path, cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> None:
+    index = np.arange(len(cs.eigenvalues))
+    _write_table(path, {"index": index, **_spectrum_columns(cs, residuals)})
 
 
 def write_blocks_csv(
@@ -53,83 +71,61 @@ def write_blocks_csv(
     """Sorted block spectra next to a flag telling whether each value shows
     up in the full spectrum; ``matched`` holds the flags of sigma_a, then
     those of sigma_b."""
-    lines = ["block,index,re,im,matched"]
-    rows = [("a", i, v) for i, v in enumerate(sigma_a)]
-    rows += [("b", i, v) for i, v in enumerate(sigma_b)]
-    for (name, i, v), flag in zip(rows, matched, strict=True):
-        lines.append(f"{name},{i},{_f(v.real)},{_f(v.imag)},{int(flag)}")
-    _write(path, lines)
+    levels = np.concatenate([sigma_a, sigma_b]).astype(complex)
+    _write_table(
+        path,
+        {
+            "block": ["a"] * len(sigma_a) + ["b"] * len(sigma_b),
+            "index": np.concatenate([np.arange(len(sigma_a)), np.arange(len(sigma_b))]),
+            "re": levels.real,
+            "im": levels.imag,
+            "matched": np.asarray(matched, dtype=int),
+        },
+    )
 
 
-def write_states_csv(
-    path: Path, eigenvalues: np.ndarray, profiles: np.ndarray
-) -> None:
-    """Max-normalized amplitude profiles, one row per (state, site)."""
-    lines = ["state_id,eigen_re,eigen_im,site,amplitude"]
-    for k in range(profiles.shape[1]):
-        e = eigenvalues[k]
-        head = f"{k},{_f(e.real)},{_f(e.imag)}"
-        for j in range(profiles.shape[0]):
-            lines.append(f"{head},{j + 1},{_f(profiles[j, k])}")
-    _write(path, lines)
+def write_states_csv(path: Path, eigenvalues: np.ndarray, profiles: np.ndarray) -> None:
+    """Max-normalized amplitude profiles, one row per (state, site); each
+    state's fields are formatted once and their text repeated down its sites."""
+    sites, states = profiles.shape
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    _write_table(
+        path,
+        {
+            "state_id": np.repeat(_text(np.arange(states)), sites),
+            "eigen_re": np.repeat(_text(eigenvalues.real), sites),
+            "eigen_im": np.repeat(_text(eigenvalues.imag), sites),
+            "site": np.tile(_text(np.arange(1, sites + 1)), states),
+            "amplitude": profiles.ravel(order="F"),
+        },
+    )
 
 
-def write_states_summary_csv(path: Path, rows: list[dict]) -> None:
-    lines = [
-        "state_id,eigen_re,eigen_im,class,centroid,ipr,argmax_site,"
-        "env_center,env_width,env_rms"
-    ]
-    for r in rows:
-        lines.append(
-            f"{r['state_id']},{_f(r['eigen_re'])},{_f(r['eigen_im'])},{r['class']},"
-            f"{_f(r['centroid'])},{_f(r['ipr'])},{r['argmax_site']},"
-            f"{_f(r['env_center'])},{_f(r['env_width'])},{_f(r['env_rms'])}"
-        )
-    _write(path, lines)
+def write_states_summary_csv(path: Path, columns: dict) -> None:
+    _write_table(path, columns)
 
 
 def write_envelope_csv(path: Path, envelope: np.ndarray) -> None:
-    lines = ["site,amplitude"]
-    for j, a in enumerate(envelope):
-        lines.append(f"{j + 1},{_f(a)}")
-    _write(path, lines)
+    _write_table(path, {"site": np.arange(1, len(envelope) + 1), "amplitude": envelope})
 
 
-def write_sweep_csv(path: Path, rows: list[dict]) -> None:
-    lines = ["gamma,eigen_index,re,im,class,n_real,n_imaginary"]
-    for r in rows:
-        lines.append(
-            f"{_f(r['gamma'])},{r['eigen_index']},{_f(r['re'])},{_f(r['im'])},"
-            f"{r['class']},{r['n_real']},{r['n_imaginary']}"
-        )
-    _write(path, lines)
+def write_sweep_csv(path: Path, columns: dict) -> None:
+    _write_table(path, columns)
 
 
 def write_winding_csv(path: Path, trace: WindingTrace, base: complex) -> None:
-    lines = ["theta,det_log_abs,det_phase"]
-    for th, la, ph in zip(trace.thetas, trace.det_log_abs, trace.det_phase):
-        lines.append(f"{_f(th)},{_f(la)},{_f(ph)}")
-    lines.append(
-        f"# winding={trace.winding} point_gap={str(trace.point_gap).lower()} "
-        f"base_re={_f(base.real)} base_im={_f(base.imag)} theta_steps={trace.theta_steps}"
+    _write_table(
+        path,
+        {"theta": trace.thetas, "det_log_abs": trace.det_log_abs, "det_phase": trace.det_phase},
+        footer=f"# winding={trace.winding} point_gap={str(trace.point_gap).lower()} "
+        f"base_re={float(base.real)!r} base_im={float(base.imag)!r} "
+        f"theta_steps={trace.theta_steps}",
     )
-    _write(path, lines)
 
 
-def spectrum_json_entries(
-    cs: ClassifiedSpectrum, residuals: np.ndarray | None
-) -> list[dict]:
-    out = []
-    for i, entry in enumerate(cs.entries):
-        out.append(
-            {
-                "re": entry.value.real,
-                "im": entry.value.imag,
-                "class": entry.label.value,
-                "residual": float(residuals[i]) if residuals is not None else 0.0,
-            }
-        )
-    return out
+def spectrum_json_entries(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> list[dict]:
+    """The spectrum table's rows without their index."""
+    return table_rows(_spectrum_columns(cs, residuals))
 
 
 def envelope_fit_json(fit: EnvelopeFit) -> dict:

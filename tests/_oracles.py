@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from ramphop import hermitize
+from ramphop import EigenClass, hermitize
+from ramphop.analysis import CLASS_TOL_SCALE
 
 
 def dense_matrix(
@@ -240,3 +241,36 @@ def contour_roots(coeffs: np.ndarray, n_roots: int, tol: float = 1e-10) -> np.nd
     if len(roots) != n_roots:
         raise RuntimeError(f"found {len(roots)} roots, expected {n_roots}")
     return np.array(roots)
+
+
+def classify_per_entry(values) -> tuple[list[tuple[complex, EigenClass, int]], dict, float]:
+    """The axis classification one level at a time, with a Python sort per class.
+
+    Returns (value, label, rank in class) per level in input order, the
+    count of each class and the tolerance.
+    """
+    values = np.asarray(values, dtype=complex)
+    radius = float(np.max(np.abs(values))) if len(values) else 0.0
+    tolerance = CLASS_TOL_SCALE * max(1.0, radius)
+
+    def _label(v: complex) -> EigenClass:
+        if abs(v.imag) <= tolerance:
+            return EigenClass.REAL  # near the origin this wins the tie
+        if abs(v.real) <= tolerance:
+            return EigenClass.IMAGINARY
+        return EigenClass.COMPLEX
+
+    labels = [_label(v) for v in values]
+    entries: list = [None] * len(values)
+    counts = {}
+    for label, key in (
+        (EigenClass.REAL, lambda i: values[i].real),
+        (EigenClass.IMAGINARY, lambda i: values[i].imag),
+        (EigenClass.COMPLEX, lambda i: (values[i].real, values[i].imag)),
+    ):
+        members = [i for i in range(len(values)) if labels[i] is label]
+        members.sort(key=key)
+        counts[label] = len(members)
+        for rank, i in enumerate(members):
+            entries[i] = (complex(values[i]), label, rank)
+    return entries, counts, float(tolerance)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramphop import (
@@ -21,7 +21,24 @@ from ramphop import (
     winding_number,
     winding_trace,
 )
-from ramphop.analysis import LADDER_RELATIVE_STDEV
+from ramphop.analysis import CLASSES, LADDER_RELATIVE_STDEV
+
+from _oracles import classify_per_entry
+
+# Components that sit on, just inside and just outside the unit-radius
+# tolerance 1e-6, signed zeros, and values that recur across draws.
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 1e-6, -1e-6, 1.5e-6, 0.5, -0.5, 1.0, 3.0]),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+
+
+@st.composite
+def _spectra(draw):
+    values = draw(st.lists(st.builds(complex, _COMPONENTS, _COMPONENTS), max_size=24))
+    if values:  # repeat some levels exactly
+        values += draw(st.lists(st.sampled_from(values), max_size=6))
+    return values
 
 
 class TestClassify:
@@ -60,6 +77,27 @@ class TestClassify:
         spec = solve_spectrum(LatticeParams(t=t, gamma=gamma, length=length))
         cs = classify(spec)
         assert cs.counts.total == length
+
+    @given(_spectra())
+    @example([])
+    @example([complex(-0.0, 0.0), complex(0.0, -0.0), complex(1e-6, 1e-6), complex(1e-6, 1e-6)])
+    @settings(max_examples=300, deadline=None)
+    def test_columns_match_the_per_entry_classification(self, values):
+        expected, counts, tolerance = classify_per_entry(values)
+        cs = classify(np.array(values, dtype=complex))
+        got = [(repr(e.value), e.label, e.index_in_class) for e in cs.entries]
+        assert got == [(repr(v), label, rank) for v, label, rank in expected]
+        assert cs.tolerance == tolerance
+        assert (cs.counts.n_real, cs.counts.n_imaginary, cs.counts.n_complex) == tuple(
+            counts[label] for label in CLASSES
+        )
+        by_class = sorted(
+            range(len(values)), key=lambda i: (CLASSES.index(expected[i][1]), expected[i][2])
+        )
+        assert cs.order.tolist() == by_class
+        for label in CLASSES:
+            members = sorted((rank, repr(v)) for v, lab, rank in expected if lab is label)
+            assert [repr(v) for v in cs.values(label).tolist()] == [v for _, v in members]
 
     def test_classified_values_come_in_sign_pairs(self):
         cs = classify(solve_spectrum(LatticeParams(t=1.0, gamma=0.03, length=60)))
@@ -238,6 +276,28 @@ class TestDecoupling:
     def test_longer_chain_keeps_the_first_block(self):
         report = decoupling_check(LatticeParams(t=1.0, gamma=0.01, length=200))
         assert report.ok and report.split == 100
+
+    # the gauge at the split underflows, which hermitize's block coupling reports
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in scalar divide:RuntimeWarning")
+    def test_block_states_deep_in_the_gauge_stay_finite(self):
+        report = decoupling_check(LatticeParams(t=1.0, gamma=0.0008, length=1260))
+        assert report.ok and report.split == 1250
+        assert np.isfinite(report.max_residual)
+
+    def test_a_non_finite_state_fails_the_certificate(self, monkeypatch):
+        import ramphop.analysis as analysis
+
+        real_ungauge = analysis.ungauge
+
+        def one_nan(gauge, w):
+            v = real_ungauge(gauge, w)
+            v[0] = np.nan
+            return v
+
+        monkeypatch.setattr(analysis, "ungauge", one_nan)
+        report = decoupling_check(LatticeParams(t=1.0, gamma=0.02, length=100))
+        assert not report.ok
+        assert np.isnan(report.max_residual)
 
 
 class TestDissolution:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ramphop import (
     Boundary,
     DegenerateBondError,
+    GaugeVector,
     LatticeParams,
     RegimeKind,
     RegimeMismatchError,
@@ -269,6 +270,15 @@ def test_ungauge_accepts_a_column_slice():
     assert not w[:, 1].flags.contiguous
     restored = ungauge(ga, w[:, 1])
     assert np.allclose(restored, v[:, 1] / np.max(np.abs(v[:, 1])))
+
+
+def test_ungauge_keeps_the_phase_of_subnormal_components():
+    # numpy forms w / |w| through 1 / |w|, which overflows for a subnormal |w|
+    ga = GaugeVector(np.array([0.0, 700.0, 700.0]), np.zeros(3, dtype=int), [1])
+    w = np.array([1e-300, complex(-3e-320, 3e-320), complex(0.0, -5e-324)])
+    out = ungauge(ga, w)
+    assert np.all(np.isfinite(out))
+    assert np.allclose(np.angle(out[1:]), [0.75 * math.pi, -0.5 * math.pi])
 
 
 def test_ungauge_checks_length():
