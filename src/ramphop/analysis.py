@@ -166,9 +166,9 @@ class LadderStats:
 def level_spacings(cs: ClassifiedSpectrum, which: EigenClass) -> LadderStats:
     """Consecutive spacings of one sorted ladder, over its interior window."""
     if which is EigenClass.REAL:
-        levels = np.sort(cs.values(which).real)
+        levels = np.sort(cs.values(EigenClass.REAL).real)
     elif which is EigenClass.IMAGINARY:
-        levels = np.sort(cs.values(which).imag)
+        levels = np.sort(cs.values(EigenClass.IMAGINARY).imag)
     else:
         raise ValueError("spacings are defined for the real or imaginary ladder")
     n = len(levels)

@@ -280,13 +280,13 @@ def cmd_states(args: argparse.Namespace) -> int:
             "regime": _regime_dict(params),
             "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
             "states": [
-                row | {"amplitudes": profiles[:, col].tolist()}
+                row | {"amplitudes": [float(a) for a in profiles[:, col]]}
                 for col, row in enumerate(rio.table_rows(summary))
             ],
             "analysis": {
                 "ladder": _ladder_json(cs),
                 "envelopes": {
-                    "global": envelope.tolist(),
+                    "global": [float(a) for a in envelope],
                     "fit": rio.envelope_fit_json(env_fit) if env_fit else None,
                     "fit_at_peak": rio.envelope_fit_json(env_fit_peak)
                     if env_fit_peak
@@ -317,9 +317,9 @@ def cmd_winding(args: argparse.Namespace) -> int:
                 "winding": {
                     "value": trace.winding,
                     "point_gap": trace.point_gap,
-                    "theta": trace.thetas.tolist(),
-                    "det_log_abs": trace.det_log_abs.tolist(),
-                    "det_phase": trace.det_phase.tolist(),
+                    "theta": [float(x) for x in trace.thetas],
+                    "det_log_abs": [float(x) for x in trace.det_log_abs],
+                    "det_phase": [float(x) for x in trace.det_phase],
                 }
             },
         }

@@ -198,12 +198,8 @@ def ungauge(gauge: GaugeVector, transformed_vec: np.ndarray) -> np.ndarray:
     shift = np.max(log_v[np.isfinite(log_v)])
     if not np.isfinite(shift):
         raise OverflowError("gauge magnitudes overflow the representable range")
-    unit = np.ones(gauge.length, dtype=complex)
-    # numpy forms w / |w| through 1 / |w|, which overflows for a subnormal |w|
-    normal = amp >= np.finfo(float).tiny
-    unit[normal] = w[normal] / amp[normal]
-    sub = (amp > 0.0) & ~normal
-    unit[sub] = np.exp(1j * np.angle(w[sub]))
+    # w / |w| would go through 1 / |w|, which overflows for a subnormal |w|
+    unit = np.exp(1j * np.angle(w))
     out = np.exp(log_v - shift) * unit * gauge.phases()
     return out
 
