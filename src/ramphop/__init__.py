@@ -7,6 +7,7 @@ from .analysis import (
     EnvelopeFit,
     LadderStats,
     LocalizationMetrics,
+    StateMetrics,
     WindingTrace,
     classify,
     decoupling_check,
@@ -14,6 +15,7 @@ from .analysis import (
     global_envelope,
     level_spacings,
     localization,
+    state_metrics,
     winding_number,
     winding_trace,
 )

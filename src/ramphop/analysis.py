@@ -1,8 +1,10 @@
 """Observables built on top of raw spectra and eigenstates.
 
 Covers the axis classification of eigenvalues, spacing statistics of the
-resulting ladders, Gaussian envelope fits of state profiles, localization
-metrics, the flux-insertion winding number of the ring spectrum, and the
+resulting ladders, localization metrics and Gaussian envelope fits of state
+profiles (one column computation over a matrix of states, of which the
+single-state ``localization`` and ``fit_envelope`` are one-column calls),
+the flux-insertion winding number of the ring spectrum, and the
 block-decoupling certificate for integer |t/gamma|.
 """
 
@@ -209,68 +211,178 @@ class EnvelopeFit:
     center_unconstrained: float
 
 
+@dataclass(eq=False)
+class StateMetrics:
+    """Localization and Gaussian-envelope fields of a family of states.
+
+    ``profiles`` holds each column's amplitudes over its peak ``amplitude``,
+    and ``support`` marks the sites above SUPPORT_THRESHOLD of that peak;
+    both are (sites, states).  Every other field holds one entry per column.
+    The ``env_*`` fields are the fit that ``EnvelopeFit`` describes; they
+    are nan for a column whose support has fewer than 5 sites.
+    """
+
+    centroid: np.ndarray
+    ipr: np.ndarray
+    argmax_site: np.ndarray
+    amplitude: np.ndarray
+    profiles: np.ndarray
+    support: np.ndarray
+    env_center: np.ndarray
+    env_center_unconstrained: np.ndarray
+    env_width: np.ndarray
+    env_rms: np.ndarray
+
+
+def state_metrics(states: np.ndarray, center: float | None = None) -> StateMetrics:
+    """Probability centroid, inverse participation ratio, peak site and
+    Gaussian envelope of every column of a (sites, states) matrix at once.
+
+    Each envelope is the least-squares quadratic in the centred site fitted
+    to the column's log amplitudes over its support, all columns solved as
+    one batch of 3x3 normal equations.  Where that quadratic opens upwards,
+    its peak site stands in for the stationary point.  The center is clamped
+    to [1, L], and where it was clamped or the quadratic opens upwards the
+    width is refit with the center held fixed.  Passing ``center`` fits every
+    width at that fixed center.  A zero column raises
+    ``DegenerateSupportError``.
+    """
+    amp = np.abs(np.asarray(states, dtype=complex))
+    if amp.ndim != 2 or amp.shape[0] == 0:
+        raise ValueError(f"need a (sites, states) matrix, got shape {amp.shape}")
+    peak = amp.max(axis=0)
+    if np.any(peak == 0.0):
+        raise DegenerateSupportError(f"state {int(np.argmin(peak))} is a zero profile")
+    sites = np.arange(1, amp.shape[0] + 1, dtype=float)
+    # squares of the unscaled amplitudes, so that ties fall as on |v|^2 itself
+    argmax_site = np.argmax(amp * amp, axis=0) + 1
+    peak_site = sites[amp.argmax(axis=0)]
+    mask = amp > SUPPORT_THRESHOLD * peak
+    ratio = np.divide(amp, peak, out=amp)  # amp is not needed past here
+    centroid, ipr = _moments(ratio, sites)
+    env_center, env_unconstrained, env_width, env_rms = _fit_columns(
+        ratio, mask, sites, peak_site, center
+    )
+    return StateMetrics(
+        centroid=centroid,
+        ipr=ipr,
+        argmax_site=argmax_site,
+        amplitude=peak,
+        profiles=ratio,
+        support=mask,
+        env_center=env_center,
+        env_center_unconstrained=env_unconstrained,
+        env_width=env_width,
+        env_rms=env_rms,
+    )
+
+
+def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over sites of a * b, one entry per column."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _moments(ratio: np.ndarray, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centroid and inverse participation ratio of the weights ratio^2."""
+    w = ratio * ratio
+    total = w.sum(axis=0)
+    return (sites @ w) / total, _column_dot(w, w) / (total * total)
+
+
+def _fit_columns(
+    ratio: np.ndarray,
+    mask: np.ndarray,
+    sites: np.ndarray,
+    peak_site: np.ndarray,
+    center: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(center, unconstrained center, width, rms) of each column of a peak-one
+    profile over its support ``mask``; nan where that has fewer than 5 sites."""
+    count = mask.sum(axis=0)
+    few = count < 5
+    x = sites[:, None]
+    y = np.log(ratio, out=np.zeros_like(ratio), where=mask)
+    if center is None:
+        xm = (sites @ mask) / count
+        c2, c1 = _quadratic_fit(x - xm, y, mask, count, few)
+        opens_down = c2 < 0.0
+        shift = np.divide(c1, 2.0 * c2, out=np.zeros_like(c1), where=opens_down)
+        unconstrained = np.where(opens_down, xm - shift, peak_site)
+        fitted = np.clip(unconstrained, 1.0, sites[-1])
+        refit = (fitted != unconstrained) | ~opens_down
+        width = np.where(refit, _refit_widths(x, y, mask, count, fitted), -c2)
+    else:
+        unconstrained = fitted = np.full(len(count), float(center))
+        width = _refit_widths(x, y, mask, count, fitted)
+    # the misfit of the Gaussian, formed in one buffer
+    misfit = x - fitted
+    misfit *= misfit
+    misfit *= -width
+    misfit *= mask
+    np.exp(misfit, out=misfit)
+    np.subtract(ratio, misfit, out=misfit)
+    misfit *= mask
+    rms = np.sqrt(_column_dot(misfit, misfit) / count)
+    return tuple(np.where(few, np.nan, field) for field in (fitted, unconstrained, width, rms))
+
+
+def _quadratic_fit(
+    u: np.ndarray, y: np.ndarray, mask: np.ndarray, count: np.ndarray, few: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(c2, c1) of the least-squares c2 u^2 + c1 u + c0 to each column of y
+    over its support, from one batch of 3x3 normal equations; ``u`` is
+    overwritten."""
+    u *= mask
+    u2 = u * u
+    s1, s2 = u.sum(axis=0), u2.sum(axis=0)
+    s3, s4 = _column_dot(u2, u), _column_dot(u2, u2)
+    normal = np.stack(
+        [np.stack(row, axis=-1) for row in ((s4, s3, s2), (s3, s2, s1), (s2, s1, count))],
+        axis=-2,
+    )
+    normal[few] = np.eye(3)  # may be singular there, and is not reported
+    rhs = np.stack([_column_dot(u2, y), _column_dot(u, y), y.sum(axis=0)], axis=-1)
+    coef = np.linalg.solve(normal, rhs[..., None])[..., 0]
+    return coef[:, 0], coef[:, 1]
+
+
+def _refit_widths(
+    x: np.ndarray, y: np.ndarray, mask: np.ndarray, count: np.ndarray, center: np.ndarray
+) -> np.ndarray:
+    """Least squares of each column's y against -w (x-center)^2 + const over
+    its support; 0 where (x-center)^2 is constant there."""
+    qm = x - center
+    qm *= qm
+    qm *= mask
+    qm -= qm.sum(axis=0) / count
+    qm *= mask
+    denom = _column_dot(qm, qm)
+    slope = _column_dot(qm, y - y.sum(axis=0) / count)
+    return np.divide(-slope, denom, out=np.zeros_like(denom), where=denom != 0.0)
+
+
 def fit_envelope(
     state: np.ndarray, gamma: float, center: float | None = None
 ) -> EnvelopeFit:
-    """Fit a Gaussian envelope to an amplitude profile.
+    """Fit a Gaussian envelope to an amplitude profile: ``state_metrics`` on
+    one column.
 
     ``gamma`` names the physical context (the ramped chain predicts a width
     of |gamma|/2) but does not enter the fit.  Pass ``center`` to fit the
     width with the center held fixed.
     """
-    amp = np.abs(np.asarray(state, dtype=complex))
-    peak = float(np.max(amp))
-    if peak == 0.0:
-        raise DegenerateSupportError("zero profile")
-    mask = amp > SUPPORT_THRESHOLD * peak
-    if int(np.sum(mask)) < 5:
-        raise DegenerateSupportError(f"support has {int(np.sum(mask))} sites, need 5")
-    n = len(amp)
-    sites = np.arange(1, n + 1, dtype=float)
-    x = sites[mask]
-    y = np.log(amp[mask] / peak)
-
-    if center is None:
-        xm = float(np.mean(x))
-        u = x - xm
-        basis = np.stack([u * u, u, np.ones_like(u)], axis=1)
-        coef = np.linalg.solve(basis.T @ basis, basis.T @ y)
-        c2, c1 = float(coef[0]), float(coef[1])
-        if c2 < 0.0:
-            center_unc = xm - c1 / (2.0 * c2)
-        else:
-            center_unc = float(sites[int(np.argmax(amp))])
-        fitted_center = min(max(center_unc, 1.0), float(n))
-        if fitted_center != center_unc or c2 >= 0.0:
-            width = _refit_width(x, y, fitted_center)
-        else:
-            width = -c2
-    else:
-        center_unc = float(center)
-        fitted_center = float(center)
-        width = _refit_width(x, y, fitted_center)
-
-    model = np.exp(-width * (x - fitted_center) ** 2)
-    rms = float(np.sqrt(np.mean((amp[mask] / peak - model) ** 2)))
+    m = state_metrics(np.asarray(state)[:, None], center)
+    support = m.support[:, 0]
+    if int(support.sum()) < 5:
+        raise DegenerateSupportError(f"support has {int(support.sum())} sites, need 5")
     return EnvelopeFit(
-        amplitude=peak,
-        center=fitted_center,
-        width_param=float(width),
-        rms_error=rms,
-        support_mask=mask,
-        center_unconstrained=center_unc,
+        amplitude=float(m.amplitude[0]),
+        center=float(m.env_center[0]),
+        width_param=float(m.env_width[0]),
+        rms_error=float(m.env_rms[0]),
+        support_mask=support,
+        center_unconstrained=float(m.env_center_unconstrained[0]),
     )
-
-
-def _refit_width(x: np.ndarray, y: np.ndarray, center: float) -> float:
-    """Least squares of y against -w (x-center)^2 + const."""
-    q = (x - center) ** 2
-    qm = q - np.mean(q)
-    denom = float(qm @ qm)
-    if denom == 0.0:
-        return 0.0
-    slope = float(qm @ (y - np.mean(y))) / denom
-    return -slope
 
 
 def global_envelope(states) -> np.ndarray:
@@ -304,16 +416,11 @@ class LocalizationMetrics:
 
 
 def localization(state: np.ndarray) -> LocalizationMetrics:
-    """Probability centroid, inverse participation ratio, and peak site."""
-    w = np.abs(np.asarray(state, dtype=complex)) ** 2
-    total = float(np.sum(w))
-    if total == 0.0:
-        raise ValueError("zero vector has no localization metrics")
-    sites = np.arange(1, len(w) + 1, dtype=float)
+    """Probability centroid, inverse participation ratio, and peak site:
+    ``state_metrics`` on one column."""
+    m = state_metrics(np.asarray(state)[:, None])
     return LocalizationMetrics(
-        centroid=float(sites @ w) / total,
-        ipr=float(np.sum(w * w)) / total**2,
-        argmax_site=int(np.argmax(w)) + 1,
+        centroid=float(m.centroid[0]), ipr=float(m.ipr[0]), argmax_site=int(m.argmax_site[0])
     )
 
 

@@ -27,7 +27,7 @@ from .analysis import (
     fit_envelope,
     global_envelope,
     level_spacings,
-    localization,
+    state_metrics,
     winding_trace,
 )
 from .eigen import RESIDUAL_RTOL
@@ -241,25 +241,19 @@ def cmd_states(args: argparse.Namespace) -> int:
     picked = _select_states(cs, args.select)
     if not len(picked):
         raise ValueError(f"selection {args.select!r} matched no states")
-    amps = np.abs(spec.eigenvectors[:, picked])
-    profiles = amps / amps.max(axis=0)[None, :]
-    metrics = []
-    for idx in picked.tolist():
-        v = spec.eigenvectors[:, idx]
-        loc = localization(v)
-        try:
-            fit = fit_envelope(v, params.gamma)
-            env_fields = (fit.center, fit.width_param, fit.rms_error)
-        except DegenerateSupportError:
-            env_fields = (math.nan, math.nan, math.nan)
-        metrics.append((loc.centroid, loc.ipr, loc.argmax_site, *env_fields))
-    metric_names = ("centroid", "ipr", "argmax_site", "env_center", "env_width", "env_rms")
+    metrics = state_metrics(spec.eigenvectors[:, picked])
+    profiles = metrics.profiles
     summary = {
         "state_id": np.arange(len(picked)),
         "eigen_re": spec.eigenvalues[picked].real,
         "eigen_im": spec.eigenvalues[picked].imag,
         "class": cs.class_names()[picked],
-        **dict(zip(metric_names, zip(*metrics))),
+        "centroid": metrics.centroid,
+        "ipr": metrics.ipr,
+        "argmax_site": metrics.argmax_site,
+        "env_center": metrics.env_center,
+        "env_width": metrics.env_width,
+        "env_rms": metrics.env_rms,
     }
     envelope = global_envelope(spec.eigenvectors)
     peak_site = float(np.argmax(envelope) + 1)
@@ -280,13 +274,13 @@ def cmd_states(args: argparse.Namespace) -> int:
             "regime": _regime_dict(params),
             "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
             "states": [
-                row | {"amplitudes": [float(a) for a in profiles[:, col]]}
-                for col, row in enumerate(rio.table_rows(summary))
+                row | {"amplitudes": amplitudes}
+                for row, amplitudes in zip(rio.table_rows(summary), profiles.T.tolist())
             ],
             "analysis": {
                 "ladder": _ladder_json(cs),
                 "envelopes": {
-                    "global": [float(a) for a in envelope],
+                    "global": envelope.tolist(),
                     "fit": rio.envelope_fit_json(env_fit) if env_fit else None,
                     "fit_at_peak": rio.envelope_fit_json(env_fit_peak)
                     if env_fit_peak

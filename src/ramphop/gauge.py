@@ -57,8 +57,19 @@ class GaugeVector:
 
 @dataclass(frozen=True)
 class BlockCoupling:
+    """The bonds across the split in the gauged chain, a = t_p / d_p forward
+    and b = t'_p d_p backward, with d_p the gauge at site p; b is set to 0
+    at an integer split.
+
+    ``log_abs_a`` and ``log_abs_b`` hold log|a| and log|b|.  They stay
+    finite where the gauge takes a or b past the float range, and that value
+    saturates to +-inf or +-0.0.
+    """
+
     a: float
     b: float
+    log_abs_a: float
+    log_abs_b: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +142,10 @@ def hermitize(params: LatticeParams) -> BlockDecomposition:
     The physical spectrum of the decoupled case is the eigenvalues of
     block_a together with i times the eigenvalues of block_b.  For
     non-integer |t/gamma| the blocks stay coupled through (a, b) and their
-    union only approximates the spectrum.
+    union only approximates the spectrum.  (a, b) are formed from their
+    logarithms, a = sgn(t_p) exp(log|t_p| - log d_p) and
+    b = sgn(t'_p) exp(log|t'_p| + log d_p), so past the float range they
+    saturate without a warning.
     """
     if params.boundary is Boundary.PBC:
         raise RegimeMismatchError("the open-chain gauge does not close around a ring")
@@ -139,12 +153,19 @@ def hermitize(params: LatticeParams) -> BlockDecomposition:
     n = params.length
     upper, lower = bond_amplitudes(params.t, params.gamma, n)
     off = _symmetric_bonds(upper, lower)
-    coupling = BlockCoupling(0.0, 0.0)
+    coupling = BlockCoupling(0.0, 0.0, -np.inf, -np.inf)
     if regime.split is not None:
-        d_split = np.exp(_log_gauge(upper, lower, 0, p)[-1])  # d at site p, real positive
+        log_d = _log_gauge(upper, lower, 0, p)[-1]  # log of d at site p
+        u, lo = upper[p - 1], lower[p - 1]
         # the backward amplitude t - gamma*m vanishes at an integer split
-        b = 0.0 if regime.kind is RegimeKind.INTEGER_SPLIT else lower[p - 1] * d_split
-        coupling = BlockCoupling(float(upper[p - 1] / d_split), float(b))
+        integer = regime.kind is RegimeKind.INTEGER_SPLIT
+        # exp saturates to inf or 0 past the float range; log|0| is -inf
+        with np.errstate(divide="ignore", over="ignore"):
+            log_a = np.log(np.abs(u)) - log_d
+            log_b = -np.inf if integer else np.log(np.abs(lo)) + log_d
+            a = np.sign(u) * np.exp(log_a)
+            b = 0.0 if integer else np.sign(lo) * np.exp(log_b)
+        coupling = BlockCoupling(float(a), float(b), float(log_a), float(log_b))
     off_a, off_b = off[: max(p - 1, 0)], off[p:]
     return BlockDecomposition(
         block_a=BandedHamiltonian(p, off_a, off_a),

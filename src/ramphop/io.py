@@ -2,7 +2,10 @@
 
 Floats are rendered with ``repr``, the shortest representation that
 round-trips exactly, so identical runs produce byte-identical files and the
-CSV/JSON encodings agree to full precision.
+CSV/JSON encodings agree to full precision.  Every CSV file goes through one
+column-table writer.  Every JSON file is byte for byte
+``json.dumps(document, indent=2)`` plus a newline, from an emitter that
+renders each list of finite floats as one join of their ``repr``.
 
 Schemas (one row per scalar observation):
   spectrum : index,re,im,class,residual
@@ -139,6 +142,105 @@ def envelope_fit_json(fit: EnvelopeFit) -> dict:
     }
 
 
+_json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
+_INF = json.encoder.INFINITY
+
+
+def _json_float(value: float) -> str:
+    """A float as json.dumps spells it: ``repr``, or NaN, Infinity, -Infinity."""
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_scalar(value) -> str | None:
+    """A string, number, bool or None as json.dumps spells it, else None."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    return None
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dumps converts it to a string, quoted."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return '"' + _json_scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(value, pad: str, out: list[str]) -> None:
+    """Append ``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
+    line prefix ``pad``, to ``out``.
+
+    The type tests run in json's own order.  A list of finite floats is one
+    C-level join of their ``repr``; any other list goes element by element.
+    """
+    text = _json_scalar(value)
+    if text is not None:
+        out.append(text)
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        try:
+            body = sep.join(map(float.__repr__, value))
+        except TypeError:  # float.__repr__ rejects every non-float
+            body = None
+        out.append("[\n" + inner)
+        if body is not None and "n" not in body:  # "n" marks nan and inf
+            out.append(body)
+        else:
+            lead = ""
+            for item in value:
+                text = _json_scalar(item)
+                if text is None:
+                    out.append(lead)
+                    _json(item, inner, out)
+                else:
+                    out.append(lead + text)
+                lead = sep
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        lead = "{\n" + inner
+        for key, item in value.items():
+            text = _json_scalar(item)
+            if text is None:
+                out.append(lead + _json_key(key) + ": ")
+                _json(item, inner, out)
+            else:
+                out.append(lead + _json_key(key) + ": " + text)
+            lead = sep
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, document: dict) -> None:
+    """Write ``json.dumps(document, indent=2)`` and a newline, byte for byte."""
+    parts: list[str] = []
+    _json(document, "", parts)
+    parts.append("\n")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
+    with path.open("w") as f:
+        f.writelines(parts)

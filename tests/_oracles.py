@@ -14,8 +14,13 @@ import math
 
 import numpy as np
 
-from ramphop import EigenClass, hermitize
-from ramphop.analysis import CLASS_TOL_SCALE
+from ramphop import DegenerateSupportError, EigenClass, hermitize
+from ramphop.analysis import (
+    CLASS_TOL_SCALE,
+    SUPPORT_THRESHOLD,
+    EnvelopeFit,
+    LocalizationMetrics,
+)
 
 
 def dense_matrix(
@@ -274,3 +279,79 @@ def classify_per_entry(values) -> tuple[list[tuple[complex, EigenClass, int]], d
         for rank, i in enumerate(members):
             entries[i] = (complex(values[i]), label, rank)
     return entries, counts, float(tolerance)
+
+
+def fit_envelope_per_state(state: np.ndarray, center: float | None = None) -> EnvelopeFit:
+    """The Gaussian envelope fit of one profile, with its own 3x3 solve.
+
+    Keeps the per-state fit as a reference for the column computation in
+    ``state_metrics``: the quadratic in the centred site comes from the
+    normal equations of an explicit basis matrix.
+    """
+    amp = np.abs(np.asarray(state, dtype=complex))
+    peak = float(np.max(amp))
+    if peak == 0.0:
+        raise DegenerateSupportError("zero profile")
+    mask = amp > SUPPORT_THRESHOLD * peak
+    if int(np.sum(mask)) < 5:
+        raise DegenerateSupportError(f"support has {int(np.sum(mask))} sites, need 5")
+    n = len(amp)
+    sites = np.arange(1, n + 1, dtype=float)
+    x = sites[mask]
+    y = np.log(amp[mask] / peak)
+
+    if center is None:
+        xm = float(np.mean(x))
+        u = x - xm
+        basis = np.stack([u * u, u, np.ones_like(u)], axis=1)
+        coef = np.linalg.solve(basis.T @ basis, basis.T @ y)
+        c2, c1 = float(coef[0]), float(coef[1])
+        if c2 < 0.0:
+            center_unc = xm - c1 / (2.0 * c2)
+        else:
+            center_unc = float(sites[int(np.argmax(amp))])
+        fitted_center = min(max(center_unc, 1.0), float(n))
+        if fitted_center != center_unc or c2 >= 0.0:
+            width = _refit_width(x, y, fitted_center)
+        else:
+            width = -c2
+    else:
+        center_unc = float(center)
+        fitted_center = float(center)
+        width = _refit_width(x, y, fitted_center)
+
+    model = np.exp(-width * (x - fitted_center) ** 2)
+    rms = float(np.sqrt(np.mean((amp[mask] / peak - model) ** 2)))
+    return EnvelopeFit(
+        amplitude=peak,
+        center=fitted_center,
+        width_param=float(width),
+        rms_error=rms,
+        support_mask=mask,
+        center_unconstrained=center_unc,
+    )
+
+
+def _refit_width(x: np.ndarray, y: np.ndarray, center: float) -> float:
+    """Least squares of y against -w (x-center)^2 + const."""
+    q = (x - center) ** 2
+    qm = q - np.mean(q)
+    denom = float(qm @ qm)
+    if denom == 0.0:
+        return 0.0
+    slope = float(qm @ (y - np.mean(y))) / denom
+    return -slope
+
+
+def localization_per_state(state: np.ndarray) -> LocalizationMetrics:
+    """Centroid, inverse participation ratio and peak site of one state, from |v|^2."""
+    w = np.abs(np.asarray(state, dtype=complex)) ** 2
+    total = float(np.sum(w))
+    if total == 0.0:
+        raise ValueError("zero vector has no localization metrics")
+    sites = np.arange(1, len(w) + 1, dtype=float)
+    return LocalizationMetrics(
+        centroid=float(sites @ w) / total,
+        ipr=float(np.sum(w * w)) / total**2,
+        argmax_site=int(np.argmax(w)) + 1,
+    )

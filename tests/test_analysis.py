@@ -18,12 +18,13 @@ from ramphop import (
     level_spacings,
     localization,
     solve_spectrum,
+    state_metrics,
     winding_number,
     winding_trace,
 )
 from ramphop.analysis import CLASSES, LADDER_RELATIVE_STDEV
 
-from _oracles import classify_per_entry
+from _oracles import classify_per_entry, fit_envelope_per_state, localization_per_state
 
 # Components that sit on, just inside and just outside the unit-radius
 # tolerance 1e-6, signed zeros, and values that recur across draws.
@@ -178,6 +179,66 @@ class TestEnvelope:
         assert np.allclose(env, [1.0, 0.1, 0.1, 1.0])
 
 
+@st.composite
+def _profile_families(draw):
+    """A (sites, states) matrix of complex profiles and an optional fixed center.
+
+    Each column is a noisy Gaussian (its center may lie past either edge, so
+    the fit clamps it), a noisy inverted Gaussian (the quadratic opens
+    upwards, so the width is refit), a support of 1-4 sites, or zero.
+    """
+    n = draw(st.integers(min_value=1, max_value=60))
+    sites = np.arange(1, n + 1, dtype=float)
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["gauss", "inverted", "narrow", "zero"]),
+                              min_size=1, max_size=5)):
+        col = np.zeros(n, dtype=complex)
+        if kind == "narrow":
+            m = draw(st.integers(min_value=1, max_value=min(4, n)))
+            start = draw(st.integers(min_value=0, max_value=n - m))
+            col[start : start + m] = draw(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m))
+        elif kind != "zero":
+            width = draw(st.floats(1e-3, 0.5))
+            x0 = draw(st.floats(-0.5 * n, 1.5 * n))
+            log_amp = (-width if kind == "gauss" else width) * (sites - x0) ** 2
+            noise = np.array(draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n)))
+            phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=n, max_size=n)))
+            col = np.exp(log_amp - log_amp.max() + noise + 1j * phases)
+        columns.append(col)
+    center = draw(st.one_of(st.none(), st.floats(1.0, float(n))))
+    return np.column_stack(columns), center
+
+
+def _assert_close(actual, desired):
+    np.testing.assert_allclose(actual, desired, rtol=1e-10, atol=1e-12)
+
+
+@given(_profile_families())
+@settings(max_examples=300, deadline=None)
+def test_state_metrics_match_the_per_state_fits(family):
+    states, center = family
+    if np.any(np.abs(states).max(axis=0) == 0.0):
+        with pytest.raises(DegenerateSupportError):
+            state_metrics(states, center)
+        return
+    m = state_metrics(states, center)
+    for j in range(states.shape[1]):
+        v = states[:, j]
+        loc = localization_per_state(v)
+        assert m.argmax_site[j] == loc.argmax_site
+        _assert_close(m.centroid[j], loc.centroid)
+        _assert_close(m.ipr[j], loc.ipr)
+        env = (m.env_center[j], m.env_center_unconstrained[j], m.env_width[j], m.env_rms[j])
+        try:
+            fit = fit_envelope_per_state(v, center)
+        except DegenerateSupportError:
+            assert np.all(np.isnan(env))
+            continue
+        assert m.amplitude[j] == fit.amplitude
+        assert np.array_equal(m.support[:, j], fit.support_mask)
+        _assert_close(env, (fit.center, fit.center_unconstrained, fit.width_param, fit.rms_error))
+
+
 class TestLocalization:
     def test_point_mass(self):
         state = np.zeros(20)
@@ -277,8 +338,6 @@ class TestDecoupling:
         report = decoupling_check(LatticeParams(t=1.0, gamma=0.01, length=200))
         assert report.ok and report.split == 100
 
-    # the gauge at the split underflows, which hermitize's block coupling reports
-    @pytest.mark.filterwarnings("ignore:divide by zero encountered in scalar divide:RuntimeWarning")
     def test_block_states_deep_in_the_gauge_stay_finite(self):
         report = decoupling_check(LatticeParams(t=1.0, gamma=0.0008, length=1260))
         assert report.ok and report.split == 1250

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,31 @@ def test_closed_form_gauge_matches_the_loop(args):
     np.testing.assert_allclose(
         [coupling.a, coupling.b], _coupling_loop(params), rtol=1e-12, atol=0.0
     )
+
+
+@pytest.mark.parametrize(
+    "args", [(1.0, 0.0007, 1500), (1.0, 0.0008, 1500), (1.0, 0.0005, 3000), (1.0, 0.002, 700)]
+)
+def test_coupling_past_the_float_range_saturates_without_warning(args):
+    params = LatticeParams(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coupling = hermitize(params).coupling
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reference = _coupling_loop(params)
+    for got, log_abs, want in zip(
+        (coupling.a, coupling.b), (coupling.log_abs_a, coupling.log_abs_b), reference
+    ):
+        if np.isfinite(want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        else:
+            assert got == want
+        if log_abs > math.log(np.finfo(float).max):
+            assert abs(got) == math.inf
+        elif got != 0.0:
+            assert math.log(abs(got)) == pytest.approx(log_abs, rel=1e-12)
+    # the log magnitude stays finite where a itself leaves the float range
+    assert np.isfinite(coupling.log_abs_a)
 
 
 def test_single_block_symmetrization_offdiagonals():

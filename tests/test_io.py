@@ -1,9 +1,13 @@
-"""Byte-exact output of every CSV writer, with signed zeros, tiny values and nan."""
+"""Byte-exact output of every CSV writer, with signed zeros, tiny values and
+nan, and of the JSON writer against ``json.dumps(indent=2)``."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ramphop import io as rio
 from ramphop.analysis import WindingTrace, classify
@@ -180,3 +184,49 @@ def test_json_rows_come_from_the_same_columns():
         "[{'re': -0.0, 'class': 'real', 'n': 1}, {'re': nan, 'class': 'failed', 'n': -1}]"
     )
     assert [type(v) for v in rows[0].values()] == [float, str, int]
+
+
+# Floats at the edges of repr (signed zero, the smallest subnormal, the switch
+# to exponent notation either side), the non-finite spellings, ints past 64
+# bits, bools, None, and strings with non-ASCII and control characters.
+_JSON_SCALARS = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, 1e16, 1e-17, 1e-4, NAN, math.inf, -math.inf,
+         2**64, -(2**70), True, False, None, "", "\u00e9\u4e2d\U0001f600", "\x00\x1f\n\t\"\\/"]
+    ),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.text(),
+)
+_JSON_KEYS = st.one_of(st.text(), st.sampled_from([1.5, -0.0, NAN, 7, True, False, None]))
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=5),
+        st.lists(st.floats(), max_size=8),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_DOCUMENTS)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_json_writer_matches_json_dumps_byte_for_byte(tmp_path, document):
+    path = tmp_path / "doc.json"
+    rio.write_json(path, document)
+    assert path.read_bytes() == (json.dumps(document, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [np.int64(3), np.bool_(True), {1, 2}, {"rows": [1.0, np.int64(2)]}, {(1, 2): 0.5}],
+    ids=["int64", "bool_", "set", "nested-int64", "tuple-key"],
+)
+def test_json_writer_rejects_what_json_dumps_rejects(tmp_path, document):
+    with pytest.raises(TypeError):
+        json.dumps(document, indent=2)
+    with pytest.raises(TypeError):
+        rio.write_json(tmp_path / "doc.json", document)
