@@ -6,7 +6,8 @@ spectrum.  A sweep point whose solve fails becomes a ``failed`` row instead.
 Identical arguments produce byte-identical output files; sweeps parallelize
 over gamma without touching the output order.  ``figure ID`` parses and runs
 the ``spectrum``/``states``/``sweep`` command lines its panel recipe lists,
-with the same parser and runners as a user's own command line.
+with the same parser and runners as a user's own command line; a chain that
+two of those lines need is solved once for the panel.
 """
 
 from __future__ import annotations
@@ -102,7 +103,15 @@ def _ladder_json(cs) -> dict:
     return out
 
 
-def _solve_with_vectors(params: LatticeParams):
+def _solve_with_vectors(params: LatticeParams, spectra: dict | None):
+    """The checked spectrum with eigenvectors, shared through ``spectra``.
+
+    ``figure`` passes one dict to the commands it runs, so a chain that its
+    ``spectrum`` and ``states`` lines both need is solved once; a command run
+    on its own gets None and solves.
+    """
+    if spectra is not None and params in spectra:
+        return spectra[params]
     spec = solve_spectrum(params, want_vectors=True)
     failed = int(np.count_nonzero(spec.unconverged))
     if failed:
@@ -110,12 +119,14 @@ def _solve_with_vectors(params: LatticeParams):
             f"{failed} of {spec.size} eigenpairs missed the residual tolerance "
             f"(gamma={params.gamma!r}, L={params.length}, boundary={params.boundary.value})"
         )
+    if spectra is not None:
+        spectra[params] = spec
     return spec
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params(args)
-    spec = _solve_with_vectors(params)
+    spec = _solve_with_vectors(params, args.spectra)
     cs = classify(spec)
     chain = params.boundary is Boundary.OBC
     if chain:
@@ -236,7 +247,7 @@ def _select_states(cs, select: str) -> np.ndarray:
 
 def cmd_states(args: argparse.Namespace) -> int:
     params = _params(args)
-    spec = _solve_with_vectors(params)
+    spec = _solve_with_vectors(params, args.spectra)
     cs = classify(spec)
     picked = _select_states(cs, args.select)
     if not len(picked):
@@ -358,8 +369,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
         runs[description] = argv
     # RAMPHOP_WORKERS is read above, for sweep panels only, before any write
     args.out.mkdir(parents=True, exist_ok=True)
+    spectra: dict = {}  # LatticeParams -> Spectrum, for this panel only
     for argv in runs.values():
         sub_args = build_parser().parse_args(argv)
+        sub_args.spectra = spectra
         sub_args.runner(sub_args)
     rio.write_json(
         args.out / f"{figure_id}_params.json",
@@ -389,6 +402,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seed", type=int, default=0, help="recorded in the output config only"
     )
+    # solved spectra that ``figure`` shares between the commands it runs
+    p.set_defaults(spectra=None)
 
 
 @functools.cache  # built once per process; parsing leaves the parser unchanged

@@ -6,9 +6,12 @@ half-size real symmetric sublattice form of H^2 of each piece between
 exactly vanishing bonds, and its eigenvectors from one O(n) kernel,
 Fernando's twisted factorization, carried in log modulus and phase so that
 entries far beyond floating range only cost underflow of the negligible
-ones.  Rings go to LAPACK ``eigvals``/``eig``.  Shifted determinants come
-from the tridiagonal continuant recurrence with a carried power-of-two
-exponent, including the rank-two correction for ring closures.
+ones.  An even ring takes its levels +-sqrt(mu) and eigenvectors from LAPACK
+``eig`` on the half-size block H_AB H_BA of H^2; odd rings, and even rings
+with a level too near zero for the square root, go to LAPACK on the whole
+matrix.  Shifted determinants come from the tridiagonal continuant
+recurrence with a carried power-of-two exponent, including the rank-two
+correction for ring closures.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ RESIDUAL_RTOL = 1e-8
 # a chunk stays above 2**-512 and cannot underflow.
 _MANTISSA_CHUNK = 512
 
-# Open-chain levels sqrt(mu) with |mu| below this fraction of the largest
-# |mu| have lost digits to the square root and get Newton steps on the
-# continuant, at most _NEWTON_STEPS of them.
+# Levels sqrt(mu) with |mu| below this fraction of the largest |mu| have
+# lost digits to the square root: on an open chain they get Newton steps on
+# the continuant, at most _NEWTON_STEPS of them, and a ring with one is
+# solved whole.
 _POLISH_RTOL = math.sqrt(_EPS)
 _NEWTON_STEPS = 4
 
@@ -432,16 +436,83 @@ def _chain_levels(h: BandedHamiltonian) -> np.ndarray:
     return levels
 
 
+def _bipartite_ring(dense: np.ndarray, want_vectors: bool):
+    """Levels and unit eigenvectors of an even ring from half of H^2, or None.
+
+    The even sites A and the odd sites B of an even ring are its two
+    sublattices, so H^2 splits into blocks and M = H_AB H_BA is one of them,
+    of half the size.  LAPACK ``eig`` on M gives mu and x; the levels are
+    +-sqrt(mu), and the eigenvector of lambda is x on A and H_BA x / lambda
+    on B.  The spectrum is then exactly closed under E -> -E, and a real
+    negative mu gives levels with an exactly zero real part.
+
+    The square root turns the backward error eps ||M|| of mu into an error
+    of about eps ||M|| / (2 |lambda|) on lambda.  None, and the caller
+    solves H itself, when some |mu| is at most sqrt(eps) times the largest,
+    or some |lambda| is below ||M||_F / (L ||H||_F): that level would miss
+    the L eps ||H||_F that LAPACK on H is held to.
+    """
+    ab, ba = dense[0::2, 1::2], dense[1::2, 0::2]
+    block = ab @ ba
+    if want_vectors:
+        mu, x = np.linalg.eig(block)
+    else:
+        mu, x = np.linalg.eigvals(block), None
+    size = np.abs(mu)
+    if np.any(size <= _POLISH_RTOL * np.max(size)):
+        return None
+    with np.errstate(over="ignore"):  # an overflowing ||M||_F only means the full route
+        floor = np.linalg.norm(block) / len(dense)
+    if np.any(np.sqrt(size) * np.linalg.norm(dense) <= floor):
+        return None
+    # + 0.0 turns each -0.0 part into +0.0, so 0.0 - root mirrors root exactly
+    root = np.sqrt(mu.astype(complex)) + 0.0
+    lam = np.concatenate((root, 0.0 - root))
+    if x is None:
+        return lam, None
+    half = len(root)
+    vectors = np.empty((len(dense), len(lam)), dtype=complex)
+    vectors[0::2, :half] = vectors[0::2, half:] = x
+    y = vectors[1::2, :half]
+    np.matmul(ba, x, out=y)
+    y /= root
+    np.negative(y, out=vectors[1::2, half:])
+    vectors /= np.linalg.norm(vectors, axis=0)
+    return lam, vectors
+
+
+def _ring_eig(h: BandedHamiltonian, want_vectors: bool):
+    """Unsorted levels, and eigenvectors or None, of a ring.
+
+    An even ring goes to ``_bipartite_ring``; an odd ring, or an even one
+    that it turns back, to LAPACK on the whole matrix.  The dense matrix is
+    freed on return, before the caller sorts and checks.
+    """
+    dense = h.to_dense()
+    if not dense.imag.any():
+        # a real matrix keeps its spectrum exactly closed under conjugation
+        dense = dense.real
+    solved = _bipartite_ring(dense, want_vectors) if h.length % 2 == 0 else None
+    if solved is not None:
+        return solved
+    if want_vectors:
+        return np.linalg.eig(dense)
+    return np.linalg.eigvals(dense), None
+
+
 def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
     """Complex spectrum of a banded Hamiltonian, sorted by (real, imaginary) part.
 
     An open chain takes its levels from ``_chain_levels``, each exactly real
     or exactly imaginary, and its eigenvectors from the twisted
     factorization; bond products that are not real, or change sign more
-    than once within a piece, raise ``ValueError``.  Rings go to LAPACK
-    ``eig``, whose last digits can change with the BLAS thread count.
-    Residuals are ||H v - E v|| against the matrix as given, and a pair that
-    misses the tolerance is flagged in ``unconverged``, not fatal.
+    than once within a piece, raise ``ValueError``.  An even ring takes
+    its levels and eigenvectors from ``_bipartite_ring``, in exact +- pairs;
+    an odd ring, or an even one that route turns back, goes to LAPACK
+    ``eig`` on the whole matrix, whose last digits can change with the BLAS
+    thread count.  Residuals are ||H v - E v|| against the matrix as given,
+    and a pair that misses the tolerance is flagged in ``unconverged``, not
+    fatal.
     """
     if not isinstance(h, BandedHamiltonian):
         raise TypeError("eig_general expects a banded matrix")
@@ -452,16 +523,9 @@ def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
             return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
         vectors = _twisted_vectors(h.upper, h.lower, lam) if h.length else np.zeros((0, 0), complex)
         return _checked(h, lam, vectors)
-    dense = h.to_dense()
-    if not dense.imag.any():
-        # a real matrix keeps its spectrum exactly closed under conjugation
-        dense = dense.real
-    if want_vectors:
-        lam, vectors = np.linalg.eig(dense)
-    else:
-        lam, vectors = np.linalg.eigvals(dense), None
+    lam, vectors = _ring_eig(h, want_vectors)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order].astype(complex)
     if vectors is None:
         return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
-    return _checked(h, lam, vectors[:, order].astype(complex))
+    return _checked(h, lam, vectors[:, order].astype(complex, copy=False))

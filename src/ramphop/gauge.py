@@ -58,8 +58,9 @@ class GaugeVector:
 @dataclass(frozen=True)
 class BlockCoupling:
     """The bonds across the split in the gauged chain, a = t_p / d_p forward
-    and b = t'_p d_p backward, with d_p the gauge at site p; b is set to 0
-    at an integer split.
+    and b = t'_p d_p backward, with d_p the gauge at site p; each is 0
+    exactly where its own amplitude t_p or t'_p is 0.0, which at an integer
+    split is t'_p for t/gamma > 0 and t_p for t/gamma < 0.
 
     ``log_abs_a`` and ``log_abs_b`` hold log|a| and log|b|.  They stay
     finite where the gauge takes a or b past the float range, and that value
@@ -157,14 +158,13 @@ def hermitize(params: LatticeParams) -> BlockDecomposition:
     if regime.split is not None:
         log_d = _log_gauge(upper, lower, 0, p)[-1]  # log of d at site p
         u, lo = upper[p - 1], lower[p - 1]
-        # the backward amplitude t - gamma*m vanishes at an integer split
-        integer = regime.kind is RegimeKind.INTEGER_SPLIT
-        # exp saturates to inf or 0 past the float range; log|0| is -inf
+        # exp saturates to inf or 0 past the float range; an amplitude of
+        # exactly 0.0 has log -inf, so its coupling is exactly 0.0
         with np.errstate(divide="ignore", over="ignore"):
             log_a = np.log(np.abs(u)) - log_d
-            log_b = -np.inf if integer else np.log(np.abs(lo)) + log_d
+            log_b = np.log(np.abs(lo)) + log_d
             a = np.sign(u) * np.exp(log_a)
-            b = 0.0 if integer else np.sign(lo) * np.exp(log_b)
+            b = np.sign(lo) * np.exp(log_b)
         coupling = BlockCoupling(float(a), float(b), float(log_a), float(log_b))
     off_a, off_b = off[: max(p - 1, 0)], off[p:]
     return BlockDecomposition(

@@ -1,8 +1,9 @@
 """Spectrum solver for the ramped chain, and its block overlay.
 
-Every chain goes to ``eig_general``: a ring to LAPACK, an open chain to the
-half-size sublattice route, which cuts it only at bonds whose product
-vanishes exactly, so each answer belongs to the matrix as built.  The block
+Every chain goes to ``eig_general``: an even ring to LAPACK on the half-size
+block of H^2 (an odd ring to LAPACK on H), an open chain to the half-size
+sublattice route, which cuts it only at bonds whose product vanishes
+exactly, so each answer belongs to the matrix as built.  The block
 spectra are the levels of the open chain's two pieces on either side of the
 split bond, from that same route.
 """

@@ -108,6 +108,49 @@ def max_pairing_gap(a, b) -> float:
     return worst
 
 
+def conditioned_levels(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenvalues of ``dense`` and the radius that pins each one down.
+
+    The radius is n eps ||A||_F kappa_j, the first-order change of
+    eigenvalue j under a backward error of n eps ||A||_F, with kappa_j =
+    ||x_j|| ||y_j|| / |y_j^H x_j| from the columns of the eigenvector matrix
+    and the rows of its inverse.  A singular eigenvector matrix (a defective
+    matrix) pins no eigenvalue down: every radius is inf.
+    """
+    n = dense.shape[0]
+    values, right = np.linalg.eig(dense)
+    try:
+        with np.errstate(all="ignore"):
+            left = np.linalg.inv(right)
+            kappa = np.linalg.norm(right, axis=0) * np.linalg.norm(left, axis=1)
+        kappa[~np.isfinite(kappa)] = math.inf
+    except np.linalg.LinAlgError:
+        kappa = np.full(n, math.inf)
+    return values, n * np.finfo(float).eps * np.linalg.norm(dense) * kappa
+
+
+def nearest_first_gaps(values, ref) -> tuple[np.ndarray, np.ndarray]:
+    """Pair two equal-size multisets, the nearest remaining pair first.
+
+    Returns, for each pair, the index into ``ref`` and the distance.
+    """
+    values = np.asarray(values, dtype=complex)
+    ref = np.asarray(ref, dtype=complex)
+    assert len(values) == len(ref)
+    dist = np.abs(values[:, None] - ref[None, :])
+    used_v = np.zeros(len(values), dtype=bool)
+    used_r = np.zeros(len(ref), dtype=bool)
+    index, gap = [], []
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(flat), len(ref))
+        if used_v[i] or used_r[j]:
+            continue
+        used_v[i] = used_r[j] = True
+        index.append(j)
+        gap.append(dist[i, j])
+    return np.array(index, dtype=int), np.array(gap)
+
+
 def closure_defect(values, mapping) -> float:
     """How far the set is from being closed under a value mapping."""
     values = np.asarray(values, dtype=complex)

@@ -308,6 +308,27 @@ class TestFigureCommand:
             assert path.read_bytes() == (tmp_path / "fig" / path.name).read_bytes()
 
 
+def test_figure_solves_each_chain_once_per_call(tmp_path, monkeypatch):
+    import ramphop.cli as cli
+
+    real_solve = cli.solve_spectrum
+    solved = []
+
+    def counting(params, *args, **kwargs):
+        solved.append(params)
+        return real_solve(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_spectrum", counting)
+    chain = LatticeParams(t=1.0, gamma=0.01, length=100)
+    ring = LatticeParams(t=1.0, gamma=0.01, length=100, boundary=Boundary.PBC)
+    # panel 3a runs spectrum and states on the chain and spectrum on the ring
+    assert run(["figure", "3a", "--out", tmp_path / "first"]) == 0
+    assert (solved.count(chain), solved.count(ring)) == (1, 1)
+    # nothing is kept between calls: a repeated panel solves again
+    assert run(["figure", "3a", "--out", tmp_path / "second"]) == 0
+    assert (solved.count(chain), solved.count(ring)) == (2, 2)
+
+
 def test_sweep_records_failed_points_and_continues(tmp_path, monkeypatch):
     import ramphop.cli as cli
 

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ramphop
 from ramphop import (
     BandedHamiltonian,
     Boundary,
@@ -20,14 +25,18 @@ from ramphop import (
     spectral_moments,
 )
 from ramphop.eigen import RESIDUAL_RTOL, _snorm, _sprod
-from _strategies import open_ramps
+from _strategies import amplitudes, open_ramps
 from _oracles import (
     charpoly,
     complex_symmetric_levels,
+    conditioned_levels,
     contour_roots,
     dense_matrix,
     max_pairing_gap,
+    nearest_first_gaps,
 )
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _sym(offdiag):
@@ -173,6 +182,101 @@ class TestOpenChainLevels:
         h = BandedHamiltonian(len(upper) + 1, np.array(upper), np.array(lower))
         with pytest.raises(ValueError, match=condition):
             eig_general(h)
+
+
+def _full_route(h):
+    """Levels of the ring from LAPACK on the whole matrix, sorted as eig_general sorts."""
+    dense = h.to_dense()
+    lam = np.linalg.eigvals(dense if dense.imag.any() else dense.real).astype(complex)
+    return lam[np.lexsort((lam.imag, lam.real))]
+
+
+class TestBipartiteRings:
+    @given(
+        st.integers(min_value=2, max_value=30),
+        amplitudes,
+        amplitudes,
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0 * math.pi)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_even_rings_are_paired_converged_and_match_lapack(self, half, t, gamma, theta):
+        length = 2 * half
+        params = LatticeParams(t=t, gamma=gamma, length=length, boundary=Boundary.PBC)
+        h = build_hamiltonian(params) if theta is None else build_flux_twisted(params, theta)
+        spec = eig_general(h, want_vectors=True)
+        lam, fro = spec.eigenvalues, h.frobenius_norm()
+        dense = dense_matrix(t, gamma, length, pbc=True, theta=theta or 0.0)
+        ref, radius = conditioned_levels(dense)
+        # the smallest level against the cut-off of the half-size route:
+        # eps**(1/4) of the largest level, or ||M||_F / (L ||H||_F)
+        block = dense[0::2, 1::2] @ dense[1::2, 0::2]
+        cutoff = max(
+            _EPS**0.25 * np.max(np.abs(ref)),
+            np.linalg.norm(block) / (length * np.linalg.norm(dense)) if dense.any() else 0.0,
+        )
+        # well clear of the cut-off on either side, the route is known: the
+        # half-size route pairs the levels exactly, the full one is LAPACK on H
+        if np.min(np.abs(ref)) > 4.0 * cutoff:
+            assert np.sort_complex(lam).tobytes() == np.sort_complex(0.0 - lam).tobytes()
+        elif np.min(np.abs(ref)) < 0.25 * cutoff:
+            assert lam.tobytes() == _full_route(h).tobytes()
+        assert not np.any(spec.unconverged)
+        assert np.all(spec.residuals <= RESIDUAL_RTOL * fro)
+        assert np.allclose(np.linalg.norm(spec.eigenvectors, axis=0), 1.0)
+        # the gap holds the errors of both solvers, each a small multiple of
+        # the radius: at L = 4, LAPACK on H alone was measured 2.6 radii off
+        # a 50-digit reference, where this route stayed within 0.3
+        index, gap = nearest_first_gaps(lam, ref)
+        assert np.all(gap <= 4.0 * radius[index])
+
+    def test_paper_rings_have_imaginary_levels_exactly_on_the_axis(self):
+        for gamma, length, counts in [(0.01, 100, (2, 2, 96)), (0.015, 100, (2, 6, 92))]:
+            params = LatticeParams(t=1.0, gamma=gamma, length=length, boundary=Boundary.PBC)
+            h = build_hamiltonian(params)
+            spec = eig_general(h, want_vectors=True)
+            cs = classify(spec)
+            assert (cs.counts.n_real, cs.counts.n_imaginary, cs.counts.n_complex) == counts
+            imaginary = spec.eigenvalues[cs.codes == 1]
+            assert np.all(imaginary.real == 0.0)
+            assert np.max(spec.residuals) <= 1e-14 * h.frobenius_norm()
+
+    def test_zero_levels_take_the_full_route(self):
+        # the uniform ring of 8 sites has the levels 2 cos(2 pi k / 8), two of
+        # them zero, so mu = 0 and the +- split would lose every digit there
+        h = build_hamiltonian(LatticeParams(t=1.0, gamma=0.0, length=8, boundary=Boundary.PBC))
+        spec = eig_general(h, want_vectors=True)
+        assert spec.eigenvalues.tobytes() == _full_route(h).tobytes()
+        assert np.all(spec.residuals <= RESIDUAL_RTOL * h.frobenius_norm())
+        expected = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(8) / 8))
+        assert np.allclose(spec.eigenvalues.real, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("theta", [None, 0.7])
+    def test_odd_rings_take_the_full_route(self, theta):
+        params = LatticeParams(t=1.0, gamma=0.1, length=7, boundary=Boundary.PBC)
+        h = build_hamiltonian(params) if theta is None else build_flux_twisted(params, theta)
+        spec = eig_general(h, want_vectors=True)
+        assert spec.eigenvalues.tobytes() == _full_route(h).tobytes()
+        assert np.all(spec.residuals <= RESIDUAL_RTOL * h.frobenius_norm())
+
+
+def test_even_ring_levels_do_not_depend_on_the_blas_thread_count():
+    # LAPACK eig on the whole L=400 ring rounds differently with 1 and 2
+    # BLAS threads; the half-size route does not
+    src = Path(ramphop.__file__).resolve().parents[1]
+    script = (
+        "import hashlib, ramphop\n"
+        "params = ramphop.LatticeParams(1.0, 0.01, 400, ramphop.Boundary.PBC)\n"
+        "lam = ramphop.solve_spectrum(params).eigenvalues\n"
+        "print(hashlib.sha256(lam.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 class TestDeterminant:

@@ -113,15 +113,16 @@ def _balanced_gauge_loop(params):
 
 
 def _coupling_loop(params):
-    """(a, b) across the split bond from the reference gauge at site p."""
+    """(a, b) across the split bond from the reference gauge at site p; each
+    is 0.0 exactly where its own amplitude is."""
     regime = classify_regime(params)
     if regime.split is None:
         return 0.0, 0.0
     p = regime.split
     h = build_hamiltonian(params)
     d_split = np.exp(_gauge_loop(params)[0][p - 1])
-    b = 0.0 if regime.kind is RegimeKind.INTEGER_SPLIT else h.lower[p - 1] * d_split
-    return h.upper[p - 1] / d_split, b
+    up, lo = h.upper[p - 1], h.lower[p - 1]
+    return 0.0 if up == 0.0 else up / d_split, 0.0 if lo == 0.0 else lo * d_split
 
 
 def _outcome(fn, params):
@@ -132,11 +133,20 @@ def _outcome(fn, params):
 
 
 # Every regime: integer splits of either sign, then generic draws with t = 0,
-# gamma = 0 and both signs of each (t = gamma = 0 has vanishing bonds).
+# gamma = 0 and both signs of each (t = gamma = 0 has vanishing bonds).  In
+# the second family t = -+gamma m, so that t + gamma m (t/gamma < 0) or
+# t - gamma m (t/gamma > 0) is exactly 0.0.
 any_regime = st.one_of(
     st.builds(
         lambda t, m, sign, length: (t, sign * t / m, length),
         st.sampled_from([1.0, 0.5, -1.0, 2.0, -0.3]),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(min_value=2, max_value=60),
+    ),
+    st.builds(
+        lambda gamma, m, sign, length: (sign * gamma * m, gamma, length),
+        st.sampled_from([0.02, -0.02, 0.1, -0.1, 0.25, -0.25, 0.013, -0.013]),
         st.integers(min_value=1, max_value=40),
         st.sampled_from([1.0, -1.0]),
         st.integers(min_value=2, max_value=60),
@@ -168,6 +178,21 @@ def test_closed_form_gauge_matches_the_loop(args):
         assert np.array_equal(got.quarter_phase, want[1])
         assert got.block_starts == want[2]
     coupling = hermitize(params).coupling
+    np.testing.assert_allclose(
+        [coupling.a, coupling.b], _coupling_loop(params), rtol=1e-12, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("gamma", [0.02, -0.02])
+def test_only_the_vanishing_amplitude_zeroes_its_coupling(gamma):
+    # t'_50 = 1 - 0.02 * 50 is exactly 0.0 for gamma = 0.02, and
+    # t_50 = 1 + (-0.02) * 50 for gamma = -0.02
+    params = LatticeParams(1.0, gamma, 100)
+    coupling = hermitize(params).coupling
+    h = build_hamiltonian(params)
+    assert (h.upper[49] == 0.0) == (gamma < 0) and (h.lower[49] == 0.0) == (gamma > 0)
+    vanishing, kept = (coupling.a, coupling.b) if gamma < 0 else (coupling.b, coupling.a)
+    assert vanishing == 0.0 and kept != 0.0
     np.testing.assert_allclose(
         [coupling.a, coupling.b], _coupling_loop(params), rtol=1e-12, atol=0.0
     )
