@@ -452,7 +452,12 @@ def _bipartite_ring(dense: np.ndarray, want_vectors: bool):
     or some |lambda| is below ||M||_F / (L ||H||_F): that level would miss
     the L eps ||H||_F that LAPACK on H is held to.
     """
-    ab, ba = dense[0::2, 1::2], dense[1::2, 0::2]
+    # a power-of-two scale to max |entry| near 1 keeps the products in M
+    # inside float range at any size of t and gamma; it is undone exactly on
+    # the levels, and the eigenvectors do not depend on it
+    top = np.max(np.abs(dense), initial=0.0)
+    scale = 2.0 ** int(np.clip(np.frexp(top)[1], -1020, 1020))
+    ab, ba = dense[0::2, 1::2] / scale, dense[1::2, 0::2] / scale
     block = ab @ ba
     if want_vectors:
         mu, x = np.linalg.eig(block)
@@ -461,12 +466,13 @@ def _bipartite_ring(dense: np.ndarray, want_vectors: bool):
     size = np.abs(mu)
     if np.any(size <= _POLISH_RTOL * np.max(size)):
         return None
-    with np.errstate(over="ignore"):  # an overflowing ||M||_F only means the full route
-        floor = np.linalg.norm(block) / len(dense)
-    if np.any(np.sqrt(size) * np.linalg.norm(dense) <= floor):
+    # every entry of H lies in H_AB or H_BA
+    fro = np.hypot(np.linalg.norm(ab), np.linalg.norm(ba))
+    if np.any(np.sqrt(size) * fro <= np.linalg.norm(block) / len(dense)):
         return None
+    unscaled = np.sqrt(mu.astype(complex))
     # + 0.0 turns each -0.0 part into +0.0, so 0.0 - root mirrors root exactly
-    root = np.sqrt(mu.astype(complex)) + 0.0
+    root = unscaled * scale + 0.0
     lam = np.concatenate((root, 0.0 - root))
     if x is None:
         return lam, None
@@ -475,29 +481,10 @@ def _bipartite_ring(dense: np.ndarray, want_vectors: bool):
     vectors[0::2, :half] = vectors[0::2, half:] = x
     y = vectors[1::2, :half]
     np.matmul(ba, x, out=y)
-    y /= root
+    y /= unscaled
     np.negative(y, out=vectors[1::2, half:])
     vectors /= np.linalg.norm(vectors, axis=0)
     return lam, vectors
-
-
-def _ring_eig(h: BandedHamiltonian, want_vectors: bool):
-    """Unsorted levels, and eigenvectors or None, of a ring.
-
-    An even ring goes to ``_bipartite_ring``; an odd ring, or an even one
-    that it turns back, to LAPACK on the whole matrix.  The dense matrix is
-    freed on return, before the caller sorts and checks.
-    """
-    dense = h.to_dense()
-    if not dense.imag.any():
-        # a real matrix keeps its spectrum exactly closed under conjugation
-        dense = dense.real
-    solved = _bipartite_ring(dense, want_vectors) if h.length % 2 == 0 else None
-    if solved is not None:
-        return solved
-    if want_vectors:
-        return np.linalg.eig(dense)
-    return np.linalg.eigvals(dense), None
 
 
 def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
@@ -509,10 +496,10 @@ def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
     than once within a piece, raise ``ValueError``.  An even ring takes
     its levels and eigenvectors from ``_bipartite_ring``, in exact +- pairs;
     an odd ring, or an even one that route turns back, goes to LAPACK
-    ``eig`` on the whole matrix, whose last digits can change with the BLAS
-    thread count.  Residuals are ||H v - E v|| against the matrix as given,
-    and a pair that misses the tolerance is flagged in ``unconverged``, not
-    fatal.
+    ``eig`` on the whole matrix.  Either way ring levels come from LAPACK,
+    whose last digits can change with the BLAS thread count.  Residuals
+    are ||H v - E v|| against the matrix as given, and a pair that misses
+    the tolerance is flagged in ``unconverged``, not fatal.
     """
     if not isinstance(h, BandedHamiltonian):
         raise TypeError("eig_general expects a banded matrix")
@@ -523,7 +510,15 @@ def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
             return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
         vectors = _twisted_vectors(h.upper, h.lower, lam) if h.length else np.zeros((0, 0), complex)
         return _checked(h, lam, vectors)
-    lam, vectors = _ring_eig(h, want_vectors)
+    dense = h.to_dense()
+    if not dense.imag.any():
+        # a real matrix keeps its spectrum exactly closed under conjugation
+        dense = dense.real
+    solved = _bipartite_ring(dense, want_vectors) if h.length % 2 == 0 else None
+    if solved is None:
+        solved = np.linalg.eig(dense) if want_vectors else (np.linalg.eigvals(dense), None)
+    lam, vectors = solved
+    del dense  # freed before the sort and the check
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order].astype(complex)
     if vectors is None:

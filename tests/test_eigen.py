@@ -240,6 +240,21 @@ class TestBipartiteRings:
             assert np.all(imaginary.real == 0.0)
             assert np.max(spec.residuals) <= 1e-14 * h.frobenius_norm()
 
+    @pytest.mark.parametrize("exponent", [500, -280, -530])
+    def test_levels_scale_exactly_with_a_power_of_two(self, exponent):
+        # at 2**-530 the products in H_AB H_BA are subnormal, and at 2**500
+        # they overflow, unless the route scales H first
+        def solve(scale):
+            params = LatticeParams(t=2.5 * scale, gamma=scale, length=12, boundary=Boundary.PBC)
+            return eig_general(build_hamiltonian(params), want_vectors=True)
+
+        spec, base = solve(math.ldexp(1.0, exponent)), solve(1.0)
+        lam = spec.eigenvalues
+        assert np.sort_complex(lam).tobytes() == np.sort_complex(0.0 - lam).tobytes()
+        assert np.array_equal(lam.real, np.ldexp(base.eigenvalues.real, exponent))
+        assert np.array_equal(lam.imag, np.ldexp(base.eigenvalues.imag, exponent))
+        assert not np.any(spec.unconverged)
+
     def test_zero_levels_take_the_full_route(self):
         # the uniform ring of 8 sites has the levels 2 cos(2 pi k / 8), two of
         # them zero, so mu = 0 and the +- split would lose every digit there
@@ -259,9 +274,11 @@ class TestBipartiteRings:
         assert np.all(spec.residuals <= RESIDUAL_RTOL * h.frobenius_norm())
 
 
-def test_even_ring_levels_do_not_depend_on_the_blas_thread_count():
-    # LAPACK eig on the whole L=400 ring rounds differently with 1 and 2
-    # BLAS threads; the half-size route does not
+def test_l400_ring_gives_the_same_bytes_with_one_and_two_blas_threads():
+    # an observation on one OpenBLAS build, not a property of the route:
+    # there LAPACK eig on the whole 400x400 ring rounds differently with 1
+    # and 2 BLAS threads, and eig on its 200x200 block H_AB H_BA does not;
+    # another CPU kernel or thread threshold may change that
     src = Path(ramphop.__file__).resolve().parents[1]
     script = (
         "import hashlib, ramphop\n"
