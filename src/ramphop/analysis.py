@@ -503,10 +503,15 @@ class DecouplingReport:
 
 
 def decoupling_check(params: LatticeParams) -> DecouplingReport:
-    """Certify that block-A eigenstates, padded with zeros, solve the chain.
+    """Certify that the eigenstates of the block that closes on itself,
+    padded with zeros, solve the chain.
 
-    Only meaningful at integer |t/gamma|, where the backward amplitude of
-    the split bond vanishes and the first block closes on itself.
+    Only meaningful at integer |t/gamma|.  For t/gamma > 0 the backward
+    amplitude of the split bond vanishes and block A, on sites 1..p, closes
+    on itself; for t/gamma < 0 the forward amplitude vanishes and block B,
+    on the sites past p, does, with levels i times those of ``block_b``.
+    ``split`` is p either way, and the tail is the largest amplitude off
+    the certified block.
     """
     regime = classify_regime(params)
     if regime.kind is not RegimeKind.INTEGER_SPLIT:
@@ -520,20 +525,25 @@ def decoupling_check(params: LatticeParams) -> DecouplingReport:
     tol = RESIDUAL_RTOL * h.frobenius_norm()
     dec = hermitize(params)
     ga = gauge_vector(params)
-    spec_a = eig_sym_tridiag(dec.block_a, want_vectors=True)
-    residuals = np.zeros(spec_a.size)
-    tails = np.zeros(spec_a.size)
-    for idx in range(spec_a.size):
-        v = ungauge(ga, np.pad(spec_a.eigenvectors[:, idx], (0, params.length - m)))
-        tails[idx] = np.max(np.abs(v[m:]), initial=0.0)
-        residuals[idx] = residual(h, spec_a.eigenvalues[idx], v)
+    if params.t * params.gamma > 0:
+        spec = eig_sym_tridiag(dec.block_a, want_vectors=True)
+        levels, pad, outside = spec.eigenvalues, (0, params.length - m), slice(m, None)
+    else:
+        spec = eig_sym_tridiag(dec.block_b, want_vectors=True)
+        levels, pad, outside = 1j * spec.eigenvalues, (m, 0), slice(None, m)
+    residuals = np.zeros(spec.size)
+    tails = np.zeros(spec.size)
+    for idx in range(spec.size):
+        v = ungauge(ga, np.pad(spec.eigenvectors[:, idx], pad))
+        tails[idx] = np.max(np.abs(v[outside]), initial=0.0)
+        residuals[idx] = residual(h, levels[idx], v)
     # np.max carries a nan through, and a nan fails both comparisons
     max_res = float(np.max(residuals, initial=0.0))
     max_tail = float(np.max(tails, initial=0.0))
     return DecouplingReport(
         ok=max_res < tol and max_tail < DECOUPLING_TAIL_TOL,
         split=m,
-        n_states=spec_a.size,
+        n_states=spec.size,
         max_residual=max_res,
         max_tail=max_tail,
         residual_tolerance=tol,

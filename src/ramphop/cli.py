@@ -284,10 +284,7 @@ def cmd_states(args: argparse.Namespace) -> int:
             "config": _config(args) | {"select": args.select},
             "regime": _regime_dict(params),
             "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
-            "states": [
-                row | {"amplitudes": amplitudes}
-                for row, amplitudes in zip(rio.table_rows(summary), profiles.T.tolist())
-            ],
+            "states": rio.table_rows(summary | {"amplitudes": profiles.T}),
             "analysis": {
                 "ladder": _ladder_json(cs),
                 "envelopes": {

@@ -6,12 +6,13 @@ half-size real symmetric sublattice form of H^2 of each piece between
 exactly vanishing bonds, and its eigenvectors from one O(n) kernel,
 Fernando's twisted factorization, carried in log modulus and phase so that
 entries far beyond floating range only cost underflow of the negligible
-ones.  An even ring takes its levels +-sqrt(mu) and eigenvectors from LAPACK
-``eig`` on the half-size block H_AB H_BA of H^2; odd rings, and even rings
-with a level too near zero for the square root, go to LAPACK on the whole
-matrix.  Shifted determinants come from the tridiagonal continuant
-recurrence with a carried power-of-two exponent, including the rank-two
-correction for ring closures.
+ones; the kernel solves one level of each +-lambda pair, and a sublattice
+sign flip gives the other.  An even ring takes its levels +-sqrt(mu) and
+eigenvectors from LAPACK ``eig`` on the half-size block H_AB H_BA of H^2;
+odd rings, and even rings with a level too near zero for the square root,
+go to LAPACK on the whole matrix.  Shifted determinants come from the
+tridiagonal continuant recurrence with a carried power-of-two exponent,
+including the rank-two correction for ring closures.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def _guard_pivots(p: np.ndarray, tiny: float) -> np.ndarray:
-    p[np.abs(p) < tiny] = tiny
-    return p
-
-
 def _log_polar_cumprod(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running products down axis 0 as (log modulus, unit phase).
 
@@ -95,44 +91,73 @@ def _log_polar_cumprod(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_mag, ratios
 
 
-def _twisted_vectors(upper, lower, eigenvalues) -> np.ndarray:
+def _twisted_vectors(upper, lower, eigenvalues, partners=False):
     """Right eigenvectors of a zero-diagonal tridiagonal, one unit column per eigenvalue.
 
     Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
     Dhillon & Parlett, LAA 387, 2004, as in LAPACK ``dlar1v``), for all
-    eigenvalues at once: the loop runs over sites, numpy over eigenvalues.
+    eigenvalues at once: the loop runs over sites, numpy over eigenvalues,
+    and each step advances the forward and backward sweeps together.
     With shift -lambda, the forward pivots are
     d+_k = -lambda - u_{k-1} l_{k-1} / d+_{k-1}, the backward pivots d-_k
     follow the same rule from the other end, and the two meet at the twist r
     minimising |d+_k + d-_k + lambda|.  From v_r = 1 the vector runs outward
     as v_k = -u_k v_{k+1} / d+_k below the twist and v_k = -l_{k-1} v_{k-1}
-    / d-_k above it, every row but r satisfied exactly.  Entries are carried as log modulus and phase and normalised
-    once at the end, so the exponential gauge profiles of the ramped chain
-    never overflow.  The pivots depend on the bond products only, which
-    makes the result the same as running on any diagonally similar form
-    and mapping back.  A pivot below eps * scale is replaced by that value.
+    / d-_k above it, every row but r satisfied exactly.  Entries are carried
+    as log modulus and phase and normalised once at the end, so the
+    exponential gauge profiles of the ramped chain never overflow.  The
+    pivots depend on the bond products only, which makes the result the
+    same as running on any diagonally similar form and mapping back.
+
+    A pivot below eps * scale is replaced by that value.  Returned are the
+    vectors, a mask of the columns where that happened and the twist of
+    each column.  With ``partners``, the columns of -lambda for the masked
+    levels follow the others, in column order.
     """
     n = len(upper) + 1
-    shift = np.repeat(-eigenvalues[None, :], n, axis=0)
-    bonds = (upper * lower)[:, None]
+    shift = -eigenvalues
     scale = max(
         float(np.max(np.abs(shift), initial=0.0)),
         float(np.max(np.abs(upper), initial=0.0)),
         float(np.max(np.abs(lower), initial=0.0)),
     )
     tiny = max(_EPS * scale, float(np.finfo(float).tiny))
-    fwd = np.empty_like(shift)
-    bwd = np.empty_like(shift)
-    fwd[:1] = shift[:1]
-    bwd[-1:] = shift[-1:]
-    for k in range(n - 1):
-        fwd[k + 1] = shift[k + 1] - bonds[k] / _guard_pivots(fwd[k], tiny)
-        j = n - 2 - k
-        bwd[j] = shift[j] - bonds[j] / _guard_pivots(bwd[j + 1], tiny)
-    shift -= fwd
-    shift -= bwd
-    twist = np.argmin(np.abs(shift), axis=0)
-    del shift
+    # row k holds the forward pivot d+_k and the backward pivot d-_{n-1-k}
+    pivots = np.empty((n, 2, len(shift)), dtype=shift.dtype)
+    pivots[0] = shift
+    bonds = upper * lower
+    steps = np.stack((bonds, bonds[::-1]), axis=1)[:, :, None]
+    # a first pass without the guard: a pivot below tiny shows up in it
+    # unchanged, since every pivot before it is the same either way
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            np.divide(steps[k], pivots[k], out=pivots[k + 1])
+            np.subtract(shift, pivots[k + 1], out=pivots[k + 1])
+    guarded = np.any(np.abs(pivots[:-1]) < tiny, axis=(0, 1))
+    if guarded.any():
+        # columns are independent: rerun the ones that need the guard
+        redo_shift = shift[guarded]
+        if partners:
+            redo_shift = np.concatenate((redo_shift, -redo_shift))
+            shift = np.concatenate((shift, -shift[guarded]))
+        redo = np.empty((n, 2, len(redo_shift)), dtype=shift.dtype)
+        redo[0] = redo_shift
+        for k in range(n - 1):
+            p = redo[k]
+            p[np.abs(p) < tiny] = tiny
+            np.subtract(redo_shift, steps[k] / p, out=redo[k + 1])
+        count = int(np.count_nonzero(guarded))
+        pivots[:, :, guarded] = redo[:, :, :count]
+        if partners:
+            pivots = np.concatenate((pivots, redo[:, :, count:]), axis=2)
+        del redo
+    fwd = pivots[:, 0].copy()
+    bwd = pivots[::-1, 1].copy()
+    del pivots
+    gap = shift - fwd
+    gap -= bwd
+    twist = np.argmin(np.abs(gap), axis=0)
+    del gap
     site = np.arange(n)[:, None]
     # pivots become the ratios v_k / v_{k+1} below the twist and
     # v_k / v_{k-1} above it, and 1 everywhere else
@@ -148,7 +173,41 @@ def _twisted_vectors(upper, lower, eigenvalues) -> np.ndarray:
     log_v -= np.max(log_v, axis=0)
     v *= np.exp(log_v)
     v /= np.linalg.norm(v, axis=0)
-    return v
+    return v, guarded, twist
+
+
+def _chain_vectors(upper, lower, lam) -> np.ndarray:
+    """Unit eigenvectors of an open zero-diagonal chain, for sorted levels ``lam``.
+
+    With D = diag((-1)^k), D H D = -H, so D v belongs to -lambda whenever v
+    belongs to lambda.  When the levels come in exact pairs,
+    ``lam == -lam[::-1]``, the twisted factorization runs on the first half
+    (with the middle level of an odd chain, its own partner), and each
+    level of the second half takes the column of its mirror with the sign
+    flipped on the sites an odd distance from the mirror's twist.  Every
+    pivot of -lambda is the exact negation of one of lambda, and |lambda|
+    sets the same pivot floor on both halves, so that is the kernel's own
+    column for -lambda, equal value for value; only zero parts may differ
+    in sign.  A guarded pivot is replaced by +tiny, not negated, so the
+    partner of a column that hit the guard comes from the kernel itself.
+    """
+    n = len(lam)
+    half = n // 2
+    if not np.array_equal(lam, -lam[::-1]):
+        return _twisted_vectors(upper, lower, lam)[0]
+    solved, guarded, twist = _twisted_vectors(upper, lower, lam[: n - half], partners=True)
+    vectors = np.empty((len(upper) + 1, n), dtype=solved.dtype)
+    vectors[:, : n - half] = solved[:, : n - half]
+    second = vectors[:, n - half :]
+    second[...] = solved[:, :half][:, ::-1]
+    odd = (np.arange(len(upper) + 1)[:, None] - twist[:half][::-1]) % 2 == 1
+    np.negative(second, out=second, where=odd)
+    # the partner columns are in the order of their guarded mirrors; the
+    # middle level of an odd chain is its own partner, already solved
+    mirrors = np.flatnonzero(guarded)
+    keep = mirrors < half
+    second[:, half - 1 - mirrors[keep]] = solved[:, n - half :][:, keep]
+    return vectors
 
 
 def eig_sym_tridiag(block: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
@@ -492,7 +551,8 @@ def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
 
     An open chain takes its levels from ``_chain_levels``, each exactly real
     or exactly imaginary, and its eigenvectors from the twisted
-    factorization; bond products that are not real, or change sign more
+    factorization, run on one level of each +- pair and mirrored onto the
+    other by ``_chain_vectors``, which keeps every value; bond products that are not real, or change sign more
     than once within a piece, raise ``ValueError``.  An even ring takes
     its levels and eigenvectors from ``_bipartite_ring``, in exact +- pairs;
     an odd ring, or an even one that route turns back, goes to LAPACK
@@ -508,7 +568,7 @@ def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
         lam = lam[np.lexsort((lam.imag, lam.real))]
         if not want_vectors:
             return Spectrum(eigenvalues=lam, eigenvectors=None, residuals=None)
-        vectors = _twisted_vectors(h.upper, h.lower, lam) if h.length else np.zeros((0, 0), complex)
+        vectors = _chain_vectors(h.upper, h.lower, lam) if h.length else np.zeros((0, 0), complex)
         return _checked(h, lam, vectors)
     dense = h.to_dense()
     if not dense.imag.any():

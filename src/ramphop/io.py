@@ -4,8 +4,11 @@ Floats are rendered with ``repr``, the shortest representation that
 round-trips exactly, so identical runs produce byte-identical files and the
 CSV/JSON encodings agree to full precision.  Every CSV file goes through one
 column-table writer.  Every JSON file is byte for byte
-``json.dumps(document, indent=2)`` plus a newline, from an emitter that
-renders each list of finite floats as one join of their ``repr``.
+``json.dumps(document, indent=2)`` plus a newline, written as it is rendered
+by an emitter that spells each list of finite floats as one join of their
+``repr`` and each ``RowTable`` column by column, one join per row.  A matrix
+of state amplitudes has each distinct float64 bit pattern spelled once, in
+both encodings.
 
 Schemas (one row per scalar observation):
   spectrum : index,re,im,class,residual
@@ -37,6 +40,25 @@ def _text(col) -> np.ndarray:
     return np.array(list(map(repr if col.dtype.kind == "f" else str, col.tolist())), dtype=object)
 
 
+def _matrix_text(values, spell=float.__repr__) -> np.ndarray:
+    """``spell`` of every float of a matrix, as an object array of its shape.
+
+    Each distinct float64 bit pattern is spelled once and its text gathered
+    back, which pays on state amplitudes: the two states of a +-lambda pair
+    have the same |psi|, and zeros repeat.  On a short column the sort costs
+    more than it saves, so columns take ``_text``.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    unique, inverse = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    floats = unique.view(float)
+    text = np.empty(len(floats), dtype=object)
+    # spelled a chunk at a time, so that no list of every float is held
+    for start in range(0, len(floats), 4096):
+        chunk = floats[start : start + 4096].tolist()
+        text[start : start + len(chunk)] = list(map(spell, chunk))
+    return text[inverse].reshape(values.shape)
+
+
 def _write_table(path: Path, columns: dict, footer: str | None = None) -> None:
     """Write equal-length columns as CSV, headed by their names."""
     cells = [_text(col) for col in columns.values()]
@@ -47,10 +69,23 @@ def _write_table(path: Path, columns: dict, footer: str | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def table_rows(columns: dict) -> list[dict]:
-    """The JSON form of a column table: one dict per row, keys in column order."""
-    values = [np.asarray(col).tolist() for col in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
+class RowTable(list):
+    """The JSON form of a column table: one dict per row, keys in column order.
+
+    A 2-D column gives each row the list of its row.  The table keeps its
+    columns, and ``write_json`` renders it from them column by column; it
+    is not meant to be changed after it is made.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = {name: np.asarray(col) for name, col in columns.items()}
+        values = [col.tolist() for col in self.columns.values()]
+        super().__init__(dict(zip(self.columns, row)) for row in zip(*values, strict=True))
+
+
+def table_rows(columns: dict) -> RowTable:
+    """The rows of a column table, as a ``RowTable``."""
+    return RowTable(columns)
 
 
 def _spectrum_columns(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> dict:
@@ -89,7 +124,8 @@ def write_blocks_csv(
 
 def write_states_csv(path: Path, eigenvalues: np.ndarray, profiles: np.ndarray) -> None:
     """Max-normalized amplitude profiles, one row per (state, site); each
-    state's fields are formatted once and their text repeated down its sites."""
+    state's fields are formatted once and their text repeated down its
+    sites, and each distinct amplitude is formatted once."""
     sites, states = profiles.shape
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
     _write_table(
@@ -99,7 +135,7 @@ def write_states_csv(path: Path, eigenvalues: np.ndarray, profiles: np.ndarray) 
             "eigen_re": np.repeat(_text(eigenvalues.real), sites),
             "eigen_im": np.repeat(_text(eigenvalues.imag), sites),
             "site": np.tile(_text(np.arange(1, sites + 1)), states),
-            "amplitude": profiles.ravel(order="F"),
+            "amplitude": _matrix_text(profiles.T).ravel(),
         },
     )
 
@@ -183,64 +219,134 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _json(value, pad: str, out: list[str]) -> None:
-    """Append ``value`` as ``json.dumps(value, indent=2)`` writes it, nested at
-    line prefix ``pad``, to ``out``.
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``_json`` writes it at line prefix ``pad``, as one string."""
+    parts: list[str] = []
+    _json(value, pad, parts.append)
+    return "".join(parts)
+
+
+def _json_cells(col: np.ndarray, pad: str):
+    """The JSON text of each row's cell of a table column, nested at line
+    prefix ``pad``.
+
+    Floats, ints, bools and strings are spelled a column at a time.  A 2-D
+    float column gives each row a list, joined from its deduplicated text
+    only as the row is written, so that a table of state amplitudes never
+    holds all its rows as text at once.  Any other column goes through
+    ``_json`` cell by cell.
+    """
+    kind = col.dtype.kind
+    if col.ndim == 2 and kind == "f":
+        if col.shape[1] == 0:
+            return ["[]"] * len(col)
+        item = pad + "  "
+        spell = float.__repr__ if np.isfinite(col).all() else _json_float
+        text = _matrix_text(col, spell)
+        sep, head, tail = ",\n" + item, "[\n" + item, "\n" + pad + "]"
+        return (head + sep.join(row) + tail for row in text)
+    values = col.tolist()
+    if col.ndim != 1 or kind not in "fiubU":
+        return [_json_text(value, pad) for value in values]
+    if kind == "f":
+        return list(map(float.__repr__ if np.isfinite(col).all() else _json_float, values))
+    if kind in "iu":
+        return list(map(int.__repr__, values))
+    if kind == "b":
+        return np.where(col, "true", "false").tolist()
+    return list(map(_json_str, values))
+
+
+def _row_table(table: RowTable, pad: str, emit) -> None:
+    """Pass ``table`` to ``emit`` as ``json.dumps(indent=2)`` writes its rows
+    at line prefix ``pad``: its columns spelled one at a time, then one join
+    per row."""
+    if not table:
+        emit("[]")
+        return
+    inner = pad + "  "
+    field = inner + "  "
+    leads = [
+        ("," if j else "{") + "\n" + field + _json_key(key) + ": "
+        for j, key in enumerate(table.columns)
+    ]
+    columns = [_json_cells(col, field) for col in table.columns.values()]
+    close = "\n" + inner + "}"
+    lead = "[\n" + inner
+    for cells in zip(*columns):
+        emit(lead + "".join([piece for pair in zip(leads, cells) for piece in pair]) + close)
+        lead = ",\n" + inner
+    emit("\n" + pad + "]")
+
+
+def _json(value, pad: str, emit) -> None:
+    """Pass ``value`` to ``emit``, piece by piece, as ``json.dumps(value,
+    indent=2)`` writes it nested at line prefix ``pad``.
 
     The type tests run in json's own order.  A list of finite floats is one
     C-level join of their ``repr``; any other list goes element by element.
     """
     text = _json_scalar(value)
     if text is not None:
-        out.append(text)
+        emit(text)
+        return
+    if isinstance(value, RowTable):
+        _row_table(value, pad, emit)
         return
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
+            emit("[]")
             return
         try:
             body = sep.join(map(float.__repr__, value))
         except TypeError:  # float.__repr__ rejects every non-float
             body = None
-        out.append("[\n" + inner)
+        emit("[\n" + inner)
         if body is not None and "n" not in body:  # "n" marks nan and inf
-            out.append(body)
+            emit(body)
         else:
             lead = ""
             for item in value:
                 text = _json_scalar(item)
                 if text is None:
-                    out.append(lead)
-                    _json(item, inner, out)
+                    emit(lead)
+                    _json(item, inner, emit)
                 else:
-                    out.append(lead + text)
+                    emit(lead + text)
                 lead = sep
-        out.append("\n" + pad + "]")
+        emit("\n" + pad + "]")
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            emit("{}")
             return
         lead = "{\n" + inner
         for key, item in value.items():
             text = _json_scalar(item)
             if text is None:
-                out.append(lead + _json_key(key) + ": ")
-                _json(item, inner, out)
+                emit(lead + _json_key(key) + ": ")
+                _json(item, inner, emit)
             else:
-                out.append(lead + _json_key(key) + ": " + text)
+                emit(lead + _json_key(key) + ": " + text)
             lead = sep
-        out.append("\n" + pad + "}")
+        emit("\n" + pad + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, document: dict) -> None:
-    """Write ``json.dumps(document, indent=2)`` and a newline, byte for byte."""
-    parts: list[str] = []
-    _json(document, "", parts)
-    parts.append("\n")
+    """Write ``json.dumps(document, indent=2)`` and a newline, byte for byte.
+
+    The text goes to the file as it is rendered, so the largest document is
+    never held whole.  A document that json.dumps rejects raises TypeError
+    and leaves no file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
-        f.writelines(parts)
+    try:
+        with path.open("w") as f:
+            _json(document, "", f.write)
+            f.write("\n")
+    except TypeError:
+        path.unlink(missing_ok=True)
+        raise

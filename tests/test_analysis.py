@@ -330,6 +330,23 @@ class TestDecoupling:
         assert report.max_tail == 0.0
         assert report.max_residual < report.residual_tolerance
 
+    @pytest.mark.parametrize(
+        "t, gamma, length, split, n_states",
+        [
+            (1.0, -0.02, 100, 50, 50),
+            (-1.0, 0.02, 100, 50, 50),
+            (1.0, -0.1, 25, 10, 15),  # odd L: the closed block B holds the zero level
+        ],
+    )
+    def test_negative_ratio_certifies_the_last_block(self, t, gamma, length, split, n_states):
+        # for t/gamma < 0 the forward amplitude of the split bond vanishes,
+        # so the sites past the split close on themselves
+        report = decoupling_check(LatticeParams(t=t, gamma=gamma, length=length))
+        assert report.ok
+        assert (report.split, report.n_states) == (split, n_states)
+        assert report.max_tail == 0.0
+        assert report.max_residual < report.residual_tolerance
+
     def test_non_integer_ratio_is_rejected(self):
         with pytest.raises(RegimeMismatchError):
             decoupling_check(LatticeParams(t=1.0, gamma=0.021, length=100))

@@ -24,7 +24,7 @@ from ramphop import (
     solve_spectrum,
     spectral_moments,
 )
-from ramphop.eigen import RESIDUAL_RTOL, _snorm, _sprod
+from ramphop.eigen import RESIDUAL_RTOL, _checked, _snorm, _sprod, _twisted_vectors
 from _strategies import amplitudes, open_ramps
 from _oracles import (
     charpoly,
@@ -112,6 +112,59 @@ class TestGeneralSolver:
         s2 = eig_general(h, want_vectors=True)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _paired_route_matches_the_kernel(t, gamma, length):
+    """Solve an open chain and check its vectors against the kernel run on
+    every level: equal values, and |v| and residuals equal bit for bit."""
+    h = build_hamiltonian(LatticeParams(t=t, gamma=gamma, length=length))
+    spec = eig_general(h, want_vectors=True)
+    lam = spec.eigenvalues
+    assert np.array_equal(lam, -lam[::-1])  # so the paired route ran
+    reference = _checked(h, lam, _twisted_vectors(h.upper, h.lower, lam)[0])
+    assert np.array_equal(spec.eigenvectors, reference.eigenvectors)
+    assert np.array_equal(_bits(np.abs(spec.eigenvectors)), _bits(np.abs(reference.eigenvectors)))
+    assert np.array_equal(_bits(spec.residuals), _bits(reference.residuals))
+    return h, lam
+
+
+class TestPairedVectors:
+    """Open-chain eigenvectors solved on one level of each +-lambda pair."""
+
+    @given(open_ramps())
+    @settings(max_examples=150, deadline=None)
+    def test_mirrored_columns_equal_the_kernel_on_every_level(self, ramp):
+        _paired_route_matches_the_kernel(*ramp)
+
+    @pytest.mark.parametrize(
+        "t, gamma, length", [(1.0, 0.0, 101), (1.0, 0.0, 200), (1.0, -0.1, 200), (1.0, 0.02, 100)]
+    )
+    def test_partners_of_guarded_columns_come_from_the_kernel(self, t, gamma, length):
+        # a mirrored column whose sweep hit the pivot guard would differ here
+        h, lam = _paired_route_matches_the_kernel(t, gamma, length)
+        half = len(lam) // 2
+        guarded = _twisted_vectors(h.upper, h.lower, lam[: len(lam) - half])[1]
+        assert guarded[:half].any()
+
+    @pytest.mark.parametrize(
+        "t, gamma, length",
+        [
+            (1.0, 0.013, 51),  # odd: the zero level is its own partner
+            (1.0, 0.02, 101),  # integer split, blocks of 50 and 51
+            (1.0, 0.2, 100),  # odd-odd split: two zero levels
+            (1.0, -0.02, 100),
+            (-1.0, 0.1, 31),
+            (0.7, 0.1, 100),  # an integer split only within rounding
+        ],
+    )
+    def test_odd_chains_integer_splits_and_negative_ramps(self, t, gamma, length):
+        _, lam = _paired_route_matches_the_kernel(t, gamma, length)
+        if length % 2:
+            assert lam[length // 2] == 0.0
 
 
 class TestOpenChainLevels:
@@ -338,7 +391,12 @@ class TestDeterminant:
         z = complex(zr, zi)
         mine = det_shifted(h, z).value()
         shifted = h.to_dense() - z * np.eye(length)
-        ref = np.linalg.det(shifted)
+        # LAPACK's LU gives nan on subnormal entries, so the reference
+        # factors the matrix scaled by a power of two to max |entry| near 1
+        exponent = int(np.frexp(np.max(np.abs(shifted)))[1])
+        scaled = np.ldexp(shifted.real, -exponent) + 1j * np.ldexp(shifted.imag, -exponent)
+        sign, log_abs = np.linalg.slogdet(scaled)
+        ref = sign * math.exp(log_abs + length * exponent * math.log(2.0))
         # roundoff of either determinant scales with the Hadamard bound
         hadamard = float(np.prod(np.linalg.norm(shifted, axis=1)))
         assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12 * max(1.0, hadamard))

@@ -176,14 +176,92 @@ def test_csv_writer_bytes(tmp_path, name):
     assert path.read_bytes() == expected.encode()
 
 
-def test_json_rows_come_from_the_same_columns():
+def test_json_rows_come_from_the_same_columns(tmp_path):
     rows = rio.table_rows(
         {"re": np.array([-0.0, NAN]), "class": np.array(["real", "failed"]), "n": np.array([1, -1])}
     )
+    assert isinstance(rows, list) and len(rows) == 2
     assert repr(rows) == (
         "[{'re': -0.0, 'class': 'real', 'n': 1}, {'re': nan, 'class': 'failed', 'n': -1}]"
     )
     assert [type(v) for v in rows[0].values()] == [float, str, int]
+    # rendered from its columns, the table reads as its rows do
+    path = tmp_path / "rows.json"
+    rio.write_json(path, {"rows": rows})
+    assert path.read_text() == json.dumps({"rows": list(rows)}, indent=2) + "\n"
+
+
+def test_csv_columns_of_unequal_length_are_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        rio.write_sweep_csv(tmp_path / "t.csv", {"a": np.arange(2), "b": np.arange(3)})
+
+
+# Floats at the edges of repr, each often repeated, as the amplitudes of a
+# +-lambda pair are.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+         9.999999999999999e-05, 1e-4, 1.0000000000000002e-4, NAN, math.inf, -math.inf, 1.0]
+    ),
+    st.floats(),
+)
+
+
+@st.composite
+def _float_matrices(draw):
+    pool = draw(st.lists(_EDGE_FLOATS, min_size=1, max_size=12))
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array([pool[i] for i in picks], dtype=float).reshape(rows, cols)
+
+
+@given(_float_matrices())
+@settings(max_examples=200, deadline=None)
+def test_matrix_text_spells_each_float_as_repr(matrix):
+    text = rio._matrix_text(matrix)
+    assert text.shape == matrix.shape
+    assert text.ravel().tolist() == list(map(repr, matrix.ravel().tolist()))
+    json_text = rio._matrix_text(matrix, rio._json_float)
+    assert json_text.ravel().tolist() == [json.dumps(x) for x in matrix.ravel().tolist()]
+
+
+@st.composite
+def _row_tables(draw):
+    """Column tables of every kind a row table renders column-wise, plus an
+    object column that goes cell by cell."""
+    rows = draw(st.integers(0, 5))
+    width = draw(st.integers(0, 4))
+    floats = st.lists(_EDGE_FLOATS, min_size=rows, max_size=rows)
+    kinds = {
+        "re": floats.map(np.array),
+        "n": st.lists(st.integers(-(2**62), 2**62), min_size=rows, max_size=rows).map(np.array),
+        "flag": st.lists(st.booleans(), min_size=rows, max_size=rows).map(np.array),
+        "class": st.lists(st.text(), min_size=rows, max_size=rows).map(
+            lambda xs: np.array(xs, dtype=str)
+        ),
+        "amplitudes": st.lists(
+            st.lists(_EDGE_FLOATS, min_size=width, max_size=width), min_size=rows, max_size=rows
+        ).map(lambda xs: np.array(xs, dtype=float).reshape(rows, width)),
+        "mixed": st.lists(
+            st.one_of(st.none(), st.floats(), st.text(), st.lists(st.integers(), max_size=2)),
+            min_size=rows,
+            max_size=rows,
+        ).map(lambda xs: np.array(xs + [None], dtype=object)[:-1]),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6, unique=True))
+    return {name: draw(kinds[name]) for name in names}
+
+
+@given(_row_tables())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_row_tables_render_as_json_dumps_of_their_rows(tmp_path, columns):
+    table = rio.table_rows(columns)
+    document = {"rows": table, "nested": [{"rows": table}], "empty": rio.table_rows({"x": []})}
+    path = tmp_path / "doc.json"
+    rio.write_json(path, document)
+    expanded = {"rows": list(table), "nested": [{"rows": list(table)}], "empty": []}
+    assert path.read_text() == json.dumps(expanded, indent=2) + "\n"
 
 
 # Floats at the edges of repr (signed zero, the smallest subnormal, the switch
@@ -230,3 +308,4 @@ def test_json_writer_rejects_what_json_dumps_rejects(tmp_path, document):
         json.dumps(document, indent=2)
     with pytest.raises(TypeError):
         rio.write_json(tmp_path / "doc.json", document)
+    assert not (tmp_path / "doc.json").exists()
