@@ -525,7 +525,8 @@ def decoupling_check(params: LatticeParams) -> DecouplingReport:
     tol = RESIDUAL_RTOL * h.frobenius_norm()
     dec = hermitize(params)
     ga = gauge_vector(params)
-    if params.t * params.gamma > 0:
+    # the signs, not their product, which underflows at tiny t and gamma
+    if (params.t > 0) == (params.gamma > 0):
         spec = eig_sym_tridiag(dec.block_a, want_vectors=True)
         levels, pad, outside = spec.eigenvalues, (0, params.length - m), slice(m, None)
     else:

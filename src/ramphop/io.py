@@ -4,9 +4,10 @@ Floats are rendered with ``repr``, the shortest representation that
 round-trips exactly, so identical runs produce byte-identical files and the
 CSV/JSON encodings agree to full precision.  Every CSV file goes through one
 column-table writer.  Every JSON file is byte for byte
-``json.dumps(document, indent=2)`` plus a newline, written as it is rendered
-by an emitter that spells each list of finite floats as one join of their
-``repr`` and each ``RowTable`` column by column, one join per row.  A matrix
+``json.dumps(document, indent=2)`` plus a newline, with each ``RowTable``
+standing for the list of its rows.  It is written as it is rendered by an
+emitter that spells each list of finite floats as one join of their ``repr``
+and each ``RowTable`` from its columns, one join per row.  A matrix
 of state amplitudes has each distinct float64 bit pattern spelled once, in
 both encodings.
 
@@ -24,6 +25,7 @@ Schemas (one row per scalar observation):
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -69,18 +71,31 @@ def _write_table(path: Path, columns: dict, footer: str | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-class RowTable(list):
-    """The JSON form of a column table: one dict per row, keys in column order.
+class RowTable(Sequence):
+    """The JSON form of a column table: a read-only sequence of one dict per
+    row, keys in column order.
 
-    A 2-D column gives each row the list of its row.  The table keeps its
-    columns, and ``write_json`` renders it from them column by column; it
-    is not meant to be changed after it is made.
+    A 2-D column gives each row the list of its row.  The columns are the
+    only storage: a row is built when it is read, and ``write_json`` renders
+    the table from its columns, one column at a time.
     """
 
     def __init__(self, columns: dict):
         self.columns = {name: np.asarray(col) for name, col in columns.items()}
-        values = [col.tolist() for col in self.columns.values()]
-        super().__init__(dict(zip(self.columns, row)) for row in zip(*values, strict=True))
+        if len({len(col) for col in self.columns.values()}) > 1:
+            raise ValueError("table columns differ in length")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()))) if self.columns else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return {name: col[i : i + 1].tolist()[0] for name, col in self.columns.items()}
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def table_rows(columns: dict) -> RowTable:
@@ -162,7 +177,7 @@ def write_winding_csv(path: Path, trace: WindingTrace, base: complex) -> None:
     )
 
 
-def spectrum_json_entries(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> list[dict]:
+def spectrum_json_entries(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> RowTable:
     """The spectrum table's rows without their index."""
     return table_rows(_spectrum_columns(cs, residuals))
 
@@ -336,17 +351,22 @@ def _json(value, pad: str, emit) -> None:
 
 
 def write_json(path: Path, document: dict) -> None:
-    """Write ``json.dumps(document, indent=2)`` and a newline, byte for byte.
+    """Write ``json.dumps(document, indent=2)`` and a newline, byte for byte,
+    where a ``RowTable`` stands for the list of its rows.
 
-    The text goes to the file as it is rendered, so the largest document is
-    never held whole.  A document that json.dumps rejects raises TypeError
-    and leaves no file.
+    The text goes to ``<name>.partial`` beside ``path`` as it is rendered, so
+    the largest document is never held whole, and replaces ``path`` only
+    once it is complete.  A document that json.dumps rejects raises
+    TypeError; on that or any other error ``path`` is left as it was and the
+    partial file is removed.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".partial")
     try:
-        with path.open("w") as f:
+        with partial.open("w") as f:
             _json(document, "", f.write)
             f.write("\n")
-    except TypeError:
-        path.unlink(missing_ok=True)
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
         raise

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -346,6 +348,16 @@ class TestDecoupling:
         assert (report.split, report.n_states) == (split, n_states)
         assert report.max_tail == 0.0
         assert report.max_residual < report.residual_tolerance
+
+    @pytest.mark.parametrize("exponent", [0, -540])
+    def test_block_choice_survives_tiny_amplitudes(self, exponent):
+        # at 2^-540, t * gamma underflows to 0.0; the block is chosen by the
+        # signs, so the one-site block A still closes with the level 0
+        scale = math.ldexp(1.0, exponent)
+        report = decoupling_check(LatticeParams(t=scale, gamma=scale, length=10))
+        assert report.ok
+        assert (report.split, report.n_states) == (1, 1)
+        assert report.max_residual == 0.0 and report.max_tail == 0.0
 
     def test_non_integer_ratio_is_rejected(self):
         with pytest.raises(RegimeMismatchError):

@@ -3,6 +3,7 @@ nan, and of the JSON writer against ``json.dumps(indent=2)``."""
 
 import json
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -180,11 +181,16 @@ def test_json_rows_come_from_the_same_columns(tmp_path):
     rows = rio.table_rows(
         {"re": np.array([-0.0, NAN]), "class": np.array(["real", "failed"]), "n": np.array([1, -1])}
     )
-    assert isinstance(rows, list) and len(rows) == 2
+    assert isinstance(rows, Sequence) and len(rows) == 2
     assert repr(rows) == (
         "[{'re': -0.0, 'class': 'real', 'n': 1}, {'re': nan, 'class': 'failed', 'n': -1}]"
     )
     assert [type(v) for v in rows[0].values()] == [float, str, int]
+    assert repr(rows[-1]) == repr(rows[1:][0]) == repr(list(rows)[1])
+    with pytest.raises(IndexError):
+        rows[2]
+    # read-only: the rows are built from the columns, which the writer renders
+    assert not hasattr(rows, "append") and not hasattr(rows, "__setitem__")
     # rendered from its columns, the table reads as its rows do
     path = tmp_path / "rows.json"
     rio.write_json(path, {"rows": rows})
@@ -194,6 +200,22 @@ def test_json_rows_come_from_the_same_columns(tmp_path):
 def test_csv_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         rio.write_sweep_csv(tmp_path / "t.csv", {"a": np.arange(2), "b": np.arange(3)})
+    with pytest.raises(ValueError):
+        rio.table_rows({"a": np.arange(2), "b": np.arange(3)})
+
+
+def test_a_json_write_that_fails_midway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "doc.json"
+    rio.write_json(path, {"ok": [1.0, 2.0]})
+    before = path.read_bytes()
+    cycle: list = [1.0]
+    cycle.append(cycle)
+    # json.dumps rejects a cycle with ValueError; the writer recurses until
+    # RecursionError, after it has written part of the text
+    with pytest.raises(RecursionError):
+        rio.write_json(path, {"ok": [1.0, 2.0], "cycle": cycle})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 # Floats at the edges of repr, each often repeated, as the amplitudes of a
@@ -309,3 +331,9 @@ def test_json_writer_rejects_what_json_dumps_rejects(tmp_path, document):
     with pytest.raises(TypeError):
         rio.write_json(tmp_path / "doc.json", document)
     assert not (tmp_path / "doc.json").exists()
+    # a file already at the path is left as it was, and nothing partial remains
+    (tmp_path / "doc.json").write_text("{}\n")
+    with pytest.raises(TypeError):
+        rio.write_json(tmp_path / "doc.json", document)
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    assert (tmp_path / "doc.json").read_text() == "{}\n"
