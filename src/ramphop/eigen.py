@@ -552,8 +552,9 @@ def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
     An open chain takes its levels from ``_chain_levels``, each exactly real
     or exactly imaginary, and its eigenvectors from the twisted
     factorization, run on one level of each +- pair and mirrored onto the
-    other by ``_chain_vectors``, which keeps every value; bond products that are not real, or change sign more
-    than once within a piece, raise ``ValueError``.  An even ring takes
+    other by ``_chain_vectors``, which keeps every value; bond products
+    that are not real, or change sign more than once within a piece,
+    raise ``ValueError``.  An even ring takes
     its levels and eigenvectors from ``_bipartite_ring``, in exact +- pairs;
     an odd ring, or an even one that route turns back, goes to LAPACK
     ``eig`` on the whole matrix.  Either way ring levels come from LAPACK,
