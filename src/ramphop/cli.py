@@ -155,7 +155,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if chain:
             doc["blocks"] = {
                 "sigma_a": [float(v) for v in sigma_a],
-                "sigma_b": [{"re": v.real, "im": v.imag} for v in sigma_b],
+                "sigma_b": rio.RowTable({"re": sigma_b.real, "im": sigma_b.imag}),
                 "mismatch": not matched.all(),
             }
         rio.write_json(Path(f"{args.out}.json"), doc)
@@ -218,7 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "gamma_max": args.gamma_max,
                 "gamma_steps": args.gamma_steps,
             },
-            "rows": rio.table_rows(columns),
+            "rows": rio.RowTable(columns),
         }
         rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
@@ -284,7 +284,7 @@ def cmd_states(args: argparse.Namespace) -> int:
             "config": _config(args) | {"select": args.select},
             "regime": _regime_dict(params),
             "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
-            "states": rio.table_rows(summary | {"amplitudes": profiles.T}),
+            "states": rio.RowTable(summary | {"amplitudes": profiles.T}),
             "analysis": {
                 "ladder": _ladder_json(cs),
                 "envelopes": {

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BandedHamiltonian
+from .model import BandedHamiltonian, binary_scale
 
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
@@ -113,9 +113,15 @@ def _twisted_vectors(upper, lower, eigenvalues, partners=False):
     vectors, a mask of the columns where that happened and the twist of
     each column.  With ``partners``, the columns of -lambda for the masked
     levels follow the others, in column order.
+
+    The bonds and levels are first divided by one power of two, which keeps
+    the bond products from underflowing at tiny amplitudes; the vectors do
+    not depend on it.
     """
     n = len(upper) + 1
-    shift = -eigenvalues
+    unit = binary_scale(np.concatenate((upper, lower)))
+    upper, lower = upper / unit, lower / unit
+    shift = -eigenvalues / unit
     scale = max(
         float(np.max(np.abs(shift), initial=0.0)),
         float(np.max(np.abs(upper), initial=0.0)),
@@ -370,12 +376,22 @@ def spectral_moments(h: BandedHamiltonian) -> SpectralMoments:
 
 
 def residual(h: BandedHamiltonian, eigenvalue: complex, v: np.ndarray) -> float:
-    """Relative eigenpair defect ||H v - E v|| / ||v||."""
-    v = np.asarray(v, dtype=complex)
-    nv = float(np.linalg.norm(v))
+    """Relative eigenpair defect ||H v - E v|| / ||v||, each norm taken
+    on its vector scaled by a power of two."""
+    v = np.array(v, dtype=complex)
+    defect = h.matvec(v) - eigenvalue * v
+    nv = float(_norm(v))
     if nv == 0.0:
         raise ValueError("zero vector has no residual")
-    return float(np.linalg.norm(h.matvec(v) - eigenvalue * v)) / nv
+    return float(_norm(defect)) / nv
+
+
+def _norm(x: np.ndarray, axis: int | None = None):
+    """2-norm of ``x`` (along ``axis``), taken on ``x`` divided in place by
+    a power of two, so that the squares neither underflow nor overflow."""
+    scale = binary_scale(x, axis)
+    x /= scale
+    return np.linalg.norm(x, axis=axis) * scale
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +403,7 @@ def _checked(h: BandedHamiltonian, lam, vectors) -> Spectrum:
     """Spectrum with residuals ||H v - E v||; a nan residual counts as unconverged."""
     hv, fro = h.matvec(vectors), h.frobenius_norm()
     hv -= vectors * lam[None, :]
-    residuals = np.linalg.norm(hv, axis=0)
+    residuals = _norm(hv, axis=0)
     return Spectrum(
         eigenvalues=lam,
         eigenvectors=vectors,
@@ -472,11 +488,9 @@ def _chain_levels(h: BandedHamiltonian) -> np.ndarray:
     """
     if h.length == 0:
         return np.zeros(0, dtype=complex)
-    # a power-of-two scale to max |u|, |l| near 1 keeps w_j and w_i w_{i+1}
-    # inside float range at any size of t and gamma; it is undone exactly on
-    # the levels
-    top = np.max(np.abs(np.concatenate((h.upper, h.lower))), initial=0.0)
-    scale = 2.0 ** int(np.clip(np.frexp(top)[1], -1020, 1020))
+    # a power-of-two scale keeps w_j and w_i w_{i+1} inside float range at
+    # any size of t and gamma; it is undone exactly on the levels
+    scale = binary_scale(np.concatenate((h.upper, h.lower)))
     w = (h.upper / scale) * (h.lower / scale)
     if np.iscomplexobj(w):
         if np.any(w.imag):
@@ -511,11 +525,10 @@ def _bipartite_ring(dense: np.ndarray, want_vectors: bool):
     or some |lambda| is below ||M||_F / (L ||H||_F): that level would miss
     the L eps ||H||_F that LAPACK on H is held to.
     """
-    # a power-of-two scale to max |entry| near 1 keeps the products in M
-    # inside float range at any size of t and gamma; it is undone exactly on
-    # the levels, and the eigenvectors do not depend on it
-    top = np.max(np.abs(dense), initial=0.0)
-    scale = 2.0 ** int(np.clip(np.frexp(top)[1], -1020, 1020))
+    # a power-of-two scale keeps the products in M inside float range at any
+    # size of t and gamma; it is undone exactly on the levels, and the
+    # eigenvectors do not depend on it
+    scale = binary_scale(dense)
     ab, ba = dense[0::2, 1::2] / scale, dense[1::2, 0::2] / scale
     block = ab @ ba
     if want_vectors:

@@ -20,6 +20,7 @@ from .model import (
     Boundary,
     LatticeParams,
     RegimeKind,
+    binary_scale,
     bond_amplitudes,
     split_point,
 )
@@ -123,8 +124,13 @@ def _gauge(params: LatticeParams, p: int, block_starts: list[int]) -> GaugeVecto
 
 
 def _symmetric_bonds(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """sgn(t_j) sqrt|t_j t'_j|: the gauged bond, up to a factor i past the split."""
-    return np.sign(upper) * np.sqrt(np.abs(upper * lower))
+    """sgn(t_j) sqrt|t_j t'_j|: the gauged bond, up to a factor i past the split.
+
+    The product is taken on amplitudes scaled by a power of two, which keeps
+    it from underflowing at tiny t and gamma.
+    """
+    scale = binary_scale(np.concatenate((upper, lower)))
+    return np.sign(upper) * np.sqrt(np.abs((upper / scale) * (lower / scale))) * scale
 
 
 def gauge_vector(params: LatticeParams) -> GaugeVector:

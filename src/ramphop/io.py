@@ -5,11 +5,10 @@ round-trips exactly, so identical runs produce byte-identical files and the
 CSV/JSON encodings agree to full precision.  Every CSV file goes through one
 column-table writer.  Every JSON file is byte for byte
 ``json.dumps(document, indent=2)`` plus a newline, with each ``RowTable``
-standing for the list of its rows.  It is written as it is rendered by an
-emitter that spells each list of finite floats as one join of their ``repr``
-and each ``RowTable`` from its columns, one join per row.  A matrix
-of state amplitudes has each distinct float64 bit pattern spelled once, in
-both encodings.
+standing for the list of its rows.  json's own encoder writes it, streamed
+to disk, and hands each ``RowTable`` to a renderer that spells it from its
+columns, one join per row.  A matrix of state amplitudes has each distinct
+float64 bit pattern spelled once, in both encodings.
 
 Schemas (one row per scalar observation):
   spectrum : index,re,im,class,residual
@@ -98,11 +97,6 @@ class RowTable(Sequence):
         return repr(list(self))
 
 
-def table_rows(columns: dict) -> RowTable:
-    """The rows of a column table, as a ``RowTable``."""
-    return RowTable(columns)
-
-
 def _spectrum_columns(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> dict:
     """Each level in eigenvalue order with its class and residual."""
     return {
@@ -179,7 +173,7 @@ def write_winding_csv(path: Path, trace: WindingTrace, base: complex) -> None:
 
 def spectrum_json_entries(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> RowTable:
     """The spectrum table's rows without their index."""
-    return table_rows(_spectrum_columns(cs, residuals))
+    return RowTable(_spectrum_columns(cs, residuals))
 
 
 def envelope_fit_json(fit: EnvelopeFit) -> dict:
@@ -208,39 +202,6 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_scalar(value) -> str | None:
-    """A string, number, bool or None as json.dumps spells it, else None."""
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    return None
-
-
-def _json_key(key) -> str:
-    """A dict key as json.dumps converts it to a string, quoted."""
-    if isinstance(key, str):
-        return _json_str(key)
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return '"' + _json_scalar(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json_text(value, pad: str) -> str:
-    """``value`` as ``_json`` writes it at line prefix ``pad``, as one string."""
-    parts: list[str] = []
-    _json(value, pad, parts.append)
-    return "".join(parts)
-
-
 def _json_cells(col: np.ndarray, pad: str):
     """The JSON text of each row's cell of a table column, nested at line
     prefix ``pad``.
@@ -249,7 +210,7 @@ def _json_cells(col: np.ndarray, pad: str):
     float column gives each row a list, joined from its deduplicated text
     only as the row is written, so that a table of state amplitudes never
     holds all its rows as text at once.  Any other column goes through
-    ``_json`` cell by cell.
+    json.dumps cell by cell.
     """
     kind = col.dtype.kind
     if col.ndim == 2 and kind == "f":
@@ -262,7 +223,8 @@ def _json_cells(col: np.ndarray, pad: str):
         return (head + sep.join(row) + tail for row in text)
     values = col.tolist()
     if col.ndim != 1 or kind not in "fiubU":
-        return [_json_text(value, pad) for value in values]
+        # json escapes every newline inside a string, so each one is a line break
+        return [json.dumps(value, indent=2).replace("\n", "\n" + pad) for value in values]
     if kind == "f":
         return list(map(float.__repr__ if np.isfinite(col).all() else _json_float, values))
     if kind in "iu":
@@ -282,7 +244,7 @@ def _row_table(table: RowTable, pad: str, emit) -> None:
     inner = pad + "  "
     field = inner + "  "
     leads = [
-        ("," if j else "{") + "\n" + field + _json_key(key) + ": "
+        ("," if j else "{") + "\n" + field + _json_str(key) + ": "
         for j, key in enumerate(table.columns)
     ]
     columns = [_json_cells(col, field) for col in table.columns.values()]
@@ -294,77 +256,40 @@ def _row_table(table: RowTable, pad: str, emit) -> None:
     emit("\n" + pad + "]")
 
 
-def _json(value, pad: str, emit) -> None:
-    """Pass ``value`` to ``emit``, piece by piece, as ``json.dumps(value,
-    indent=2)`` writes it nested at line prefix ``pad``.
-
-    The type tests run in json's own order.  A list of finite floats is one
-    C-level join of their ``repr``; any other list goes element by element.
-    """
-    text = _json_scalar(value)
-    if text is not None:
-        emit(text)
-        return
-    if isinstance(value, RowTable):
-        _row_table(value, pad, emit)
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            emit("[]")
-            return
-        try:
-            body = sep.join(map(float.__repr__, value))
-        except TypeError:  # float.__repr__ rejects every non-float
-            body = None
-        emit("[\n" + inner)
-        if body is not None and "n" not in body:  # "n" marks nan and inf
-            emit(body)
-        else:
-            lead = ""
-            for item in value:
-                text = _json_scalar(item)
-                if text is None:
-                    emit(lead)
-                    _json(item, inner, emit)
-                else:
-                    emit(lead + text)
-                lead = sep
-        emit("\n" + pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            emit("{}")
-            return
-        lead = "{\n" + inner
-        for key, item in value.items():
-            text = _json_scalar(item)
-            if text is None:
-                emit(lead + _json_key(key) + ": ")
-                _json(item, inner, emit)
-            else:
-                emit(lead + _json_key(key) + ": " + text)
-            lead = sep
-        emit("\n" + pad + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def write_json(path: Path, document: dict) -> None:
     """Write ``json.dumps(document, indent=2)`` and a newline, byte for byte,
     where a ``RowTable`` stands for the list of its rows.
 
-    The text goes to ``<name>.partial`` beside ``path`` as it is rendered, so
-    the largest document is never held whole, and replaces ``path`` only
-    once it is complete.  A document that json.dumps rejects raises
-    TypeError; on that or any other error ``path`` is left as it was and the
-    partial file is removed.
+    json's own encoder writes the document.  Its ``default`` hook takes each
+    ``RowTable`` and returns ``""``, whose text the encoder yields next; in
+    its place ``_row_table`` writes the table at the indentation of the
+    current line.  The text goes to ``<name>.partial`` beside ``path`` as it
+    is encoded, so the largest document is never held whole, and replaces
+    ``path`` only once it is complete.  A document that json.dumps rejects
+    raises what json.dumps raises; on that or any other error ``path`` is
+    left as it was and the partial file is removed.
     """
+    tables: list[RowTable] = []
+
+    def table(value):
+        if not isinstance(value, RowTable):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        tables.append(value)
+        return ""
+
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("w") as f:
-            _json(document, "", f.write)
+            pad = ""
+            for chunk in json.JSONEncoder(indent=2, default=table).iterencode(document):
+                if tables:  # chunk is the '""' of the table just taken
+                    _row_table(tables.pop(), pad, f.write)
+                    continue
+                f.write(chunk)
+                if "\n" in chunk:  # a line break: strings hold none raw
+                    line = chunk.rpartition("\n")[2]
+                    pad = line[: len(line) - len(line.lstrip(" "))]
             f.write("\n")
         partial.replace(path)
     except BaseException:

@@ -359,6 +359,16 @@ class TestDecoupling:
         assert (report.split, report.n_states) == (1, 1)
         assert report.max_residual == 0.0 and report.max_tail == 0.0
 
+    @pytest.mark.parametrize("m", [1, -1, 3, -3])
+    @pytest.mark.parametrize("exponent", [-540, 500])
+    def test_integer_splits_certify_at_extreme_amplitudes(self, m, exponent):
+        # at 2^-540 the block bonds and the residual norms would underflow
+        scale = math.ldexp(1.0, exponent)
+        report = decoupling_check(LatticeParams(t=m * scale, gamma=scale, length=10))
+        base = decoupling_check(LatticeParams(t=float(m), gamma=1.0, length=10))
+        assert report.ok
+        assert (report.max_residual > 0.0) == (base.max_residual > 0.0)
+
     def test_non_integer_ratio_is_rejected(self):
         with pytest.raises(RegimeMismatchError):
             decoupling_check(LatticeParams(t=1.0, gamma=0.021, length=100))

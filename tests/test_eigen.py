@@ -237,6 +237,24 @@ class TestOpenChainLevels:
             eig_general(h)
 
 
+@pytest.mark.parametrize("pbc", [False, True])
+@pytest.mark.parametrize("exponent", [500, -520])
+def test_norms_and_residuals_scale_exactly_with_a_power_of_two(exponent, pbc):
+    # at 2**-520 the squares of the entries underflow
+    boundary = Boundary.PBC if pbc else Boundary.OBC
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=12) + 1j * rng.normal(size=12)
+
+    def measures(scale):
+        params = LatticeParams(t=1.3 * scale, gamma=0.7 * scale, length=12, boundary=boundary)
+        h = build_hamiltonian(params)
+        worst = float(np.max(eig_general(h, want_vectors=True).residuals))
+        return h.frobenius_norm(), residual(h, complex(0.3, 0.2) * scale, v), worst
+
+    scaled, base = measures(math.ldexp(1.0, exponent)), measures(1.0)
+    assert scaled == tuple(math.ldexp(x, exponent) for x in base)
+
+
 def _full_route(h):
     """Levels of the ring from LAPACK on the whole matrix, sorted as eig_general sorts."""
     dense = h.to_dense()

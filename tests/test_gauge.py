@@ -251,6 +251,18 @@ def test_non_integer_split_blocks_stay_coupled():
     assert not dec.decoupled
 
 
+@pytest.mark.parametrize("m", [1, -1, 3, -3])
+@pytest.mark.parametrize("exponent", [-540, 500])
+def test_block_bonds_scale_exactly_with_a_power_of_two(m, exponent):
+    # at 2**-540 the products t_j t'_j underflow
+    scale = math.ldexp(1.0, exponent)
+    dec = hermitize(LatticeParams(t=m * scale, gamma=scale, length=10))
+    base = hermitize(LatticeParams(t=float(m), gamma=1.0, length=10))
+    for block, unit in ((dec.block_a, base.block_a), (dec.block_b, base.block_b)):
+        assert np.array_equal(block.upper, np.ldexp(unit.upper, exponent))
+        assert np.array_equal(block.lower, np.ldexp(unit.lower, exponent))
+
+
 def test_fully_anti_regime_is_one_imaginary_block():
     dec = hermitize(LatticeParams(t=1.0, gamma=1.5, length=10))
     assert dec.block_a.length == 0

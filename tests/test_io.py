@@ -178,7 +178,7 @@ def test_csv_writer_bytes(tmp_path, name):
 
 
 def test_json_rows_come_from_the_same_columns(tmp_path):
-    rows = rio.table_rows(
+    rows = rio.RowTable(
         {"re": np.array([-0.0, NAN]), "class": np.array(["real", "failed"]), "n": np.array([1, -1])}
     )
     assert isinstance(rows, Sequence) and len(rows) == 2
@@ -201,7 +201,7 @@ def test_csv_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         rio.write_sweep_csv(tmp_path / "t.csv", {"a": np.arange(2), "b": np.arange(3)})
     with pytest.raises(ValueError):
-        rio.table_rows({"a": np.arange(2), "b": np.arange(3)})
+        rio.RowTable({"a": np.arange(2), "b": np.arange(3)})
 
 
 def test_a_json_write_that_fails_midway_leaves_the_old_file(tmp_path):
@@ -210,10 +210,16 @@ def test_a_json_write_that_fails_midway_leaves_the_old_file(tmp_path):
     before = path.read_bytes()
     cycle: list = [1.0]
     cycle.append(cycle)
-    # json.dumps rejects a cycle with ValueError; the writer recurses until
-    # RecursionError, after it has written part of the text
-    with pytest.raises(RecursionError):
+    # the writer rejects a cycle as json.dumps does, after it has written
+    # part of the text
+    with pytest.raises(ValueError, match="Circular reference detected"):
         rio.write_json(path, {"ok": [1.0, 2.0], "cycle": cycle})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    # a row table is written in full before the set after it is rejected
+    table = rio.RowTable({"re": np.arange(3.0)})
+    with pytest.raises(TypeError):
+        rio.write_json(path, {"rows": table, "set": {1, 2}})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
@@ -278,8 +284,8 @@ def _row_tables(draw):
 @given(_row_tables())
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_row_tables_render_as_json_dumps_of_their_rows(tmp_path, columns):
-    table = rio.table_rows(columns)
-    document = {"rows": table, "nested": [{"rows": table}], "empty": rio.table_rows({"x": []})}
+    table = rio.RowTable(columns)
+    document = {"rows": table, "nested": [{"rows": table}], "empty": rio.RowTable({"x": []})}
     path = tmp_path / "doc.json"
     rio.write_json(path, document)
     expanded = {"rows": list(table), "nested": [{"rows": list(table)}], "empty": []}
