@@ -262,12 +262,12 @@ def write_json(path: Path, document: dict) -> None:
 
     json's own encoder writes the document.  Its ``default`` hook takes each
     ``RowTable`` and returns ``""``, whose text the encoder yields next; in
-    its place ``_row_table`` writes the table at the indentation of the
-    current line.  The text goes to ``<name>.partial`` beside ``path`` as it
-    is encoded, so the largest document is never held whole, and replaces
-    ``path`` only once it is complete.  A document that json.dumps rejects
-    raises what json.dumps raises; on that or any other error ``path`` is
-    left as it was and the partial file is removed.
+    its place ``_row_table`` streams the table at the indentation of the
+    current line, so the largest document is never held whole.  The text
+    goes to ``<name>.partial`` beside ``path``, which replaces ``path`` only
+    once it is complete.  A document that json.dumps rejects raises what
+    json.dumps raises; on that or any other error ``path`` is left as it was
+    and the partial file is removed.
     """
     tables: list[RowTable] = []
 
@@ -281,16 +281,19 @@ def write_json(path: Path, document: dict) -> None:
     partial = path.with_name(path.name + ".partial")
     try:
         with partial.open("w") as f:
-            pad = ""
+            pad, parts = "", []
             for chunk in json.JSONEncoder(indent=2, default=table).iterencode(document):
-                if tables:  # chunk is the '""' of the table just taken
-                    _row_table(tables.pop(), pad, f.write)
+                if not tables:
+                    parts.append(chunk)
                     continue
-                f.write(chunk)
-                if "\n" in chunk:  # a line break: strings hold none raw
-                    line = chunk.rpartition("\n")[2]
+                head = "".join(parts)  # the text before the table's '""' chunk
+                parts.clear()
+                f.write(head)
+                if "\n" in head:  # a line break: strings hold none raw
+                    line = head.rpartition("\n")[2]
                     pad = line[: len(line) - len(line.lstrip(" "))]
-            f.write("\n")
+                _row_table(tables.pop(), pad, f.write)
+            f.write("".join(parts) + "\n")
         partial.replace(path)
     except BaseException:
         partial.unlink(missing_ok=True)

@@ -210,13 +210,12 @@ def test_a_json_write_that_fails_midway_leaves_the_old_file(tmp_path):
     before = path.read_bytes()
     cycle: list = [1.0]
     cycle.append(cycle)
-    # the writer rejects a cycle as json.dumps does, after it has written
-    # part of the text
+    # the writer rejects a cycle as json.dumps does
     with pytest.raises(ValueError, match="Circular reference detected"):
         rio.write_json(path, {"ok": [1.0, 2.0], "cycle": cycle})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
-    # a row table is written in full before the set after it is rejected
+    # a row table goes to the file in full before the set after it is rejected
     table = rio.RowTable({"re": np.arange(3.0)})
     with pytest.raises(TypeError):
         rio.write_json(path, {"rows": table, "set": {1, 2}})
