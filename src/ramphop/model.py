@@ -115,9 +115,10 @@ def binary_scale(values: np.ndarray, axis: int | None = None):
     """A power of two that brings the largest |value| (along ``axis``) into
     [0.5, 1), or 1.0 where all are zero.
 
-    Dividing by it is exact, so squares and products of the scaled values
-    neither underflow nor overflow at any size of t and gamma, and
-    multiplying a result back by the right power undoes it exactly.
+    Dividing by it is exact for every value that stays a normal float, so
+    squares and products of the scaled values neither underflow nor
+    overflow at any size of t and gamma, and multiplying a result back by
+    the right power undoes it exactly.
     """
     top = np.max(np.abs(values), axis=axis, initial=0.0)
     # np.minimum and np.maximum cost a fifth of np.clip on a scalar
