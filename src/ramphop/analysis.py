@@ -444,7 +444,9 @@ def winding_trace(
 
     The grid is refined once if any step turns the phase by more than pi/2;
     jumps that survive refinement, like a vanishing determinant, mean the
-    base point is on (or hugging) the spectrum.
+    base point is on (or hugging) the spectrum.  The determinant vanishes
+    when its geometric mean |det|^(1/L) falls below 1e-9 times the larger
+    of ||H||_F / sqrt(L) and |base|, a floor that scales with the ring.
     """
     if params.boundary is not Boundary.PBC:
         raise RegimeMismatchError("winding is defined for the ring")
@@ -452,7 +454,7 @@ def winding_trace(
         raise ValueError("need at least 64 flux steps")
     base = complex(base)
     h0 = build_hamiltonian(params)
-    scale = max(1.0, h0.frobenius_norm() / math.sqrt(params.length), abs(base))
+    scale = max(h0.frobenius_norm() / math.sqrt(params.length), abs(base))
     floor = 1e-9 * scale
 
     def attempt(steps: int) -> WindingTrace | None:

@@ -198,7 +198,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         grid = np.linspace(args.gamma_min, args.gamma_max, args.gamma_steps)
     tasks = [(args.t, float(g), args.length, args.boundary) for g in grid]
-    workers = args.workers or _default_workers()
+    workers = args.workers or os.cpu_count() or 1
     if workers > 1:
         # imported here: the pool costs memory that a single-worker run never uses
         from concurrent.futures import ProcessPoolExecutor
@@ -345,7 +345,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         lo, hi, steps = recipe["sweep"]
         runs[f"sweep gamma in [{lo}, {hi}] with {steps} points"] = [
             "sweep", f"--gamma-min={lo!r}", f"--gamma-max={hi!r}", f"--gamma-steps={steps}",
-            f"--workers={args.workers or _default_workers()}", *shared,
+            f"--workers={args.workers or os.cpu_count() or 1}", *shared,
             f"--out={args.out / f'{figure_id}_gamma'}",
         ]
     for key, command, boundary in (
@@ -364,7 +364,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
             argv.append(f"--select={value}")
             description += f" ({value})"
         runs[description] = argv
-    # RAMPHOP_WORKERS is read above, for sweep panels only, before any write
     args.out.mkdir(parents=True, exist_ok=True)
     spectra: dict = {}  # LatticeParams -> Spectrum, for this panel only
     for argv in runs.values():
@@ -424,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel workers (default: RAMPHOP_WORKERS or cpu count)",
+        help="parallel workers (default: cpu count)",
     )
     p.set_defaults(runner=cmd_sweep)
 
@@ -453,13 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(runner=cmd_figure)
 
     return parser
-
-
-def _default_workers() -> int:
-    env = os.environ.get("RAMPHOP_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def main(argv=None) -> int:

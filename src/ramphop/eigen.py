@@ -10,9 +10,10 @@ ones; the kernel solves one level of each +-lambda pair, and a sublattice
 sign flip gives the other.  An even ring takes its levels +-sqrt(mu) and
 eigenvectors from LAPACK ``eig`` on the half-size block H_AB H_BA of H^2;
 odd rings, and even rings with a level too near zero for the square root,
-go to LAPACK on the whole matrix.  Shifted determinants come from the
-tridiagonal continuant recurrence with a carried power-of-two exponent,
-including the rank-two correction for ring closures.
+go to LAPACK on the whole matrix.  One continuant kernel, a loop over
+sites on a single point or on an array of points with a power-of-two
+exponent carried beside it, gives the shifted determinants, ring-closure
+terms included, and the Newton polish of an open chain's levels near zero.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .model import BandedHamiltonian, binary_scale
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _LN2 = math.log(2.0)
 
 # Accuracy target: residuals are measured against this multiple of the
@@ -34,6 +36,10 @@ RESIDUAL_RTOL = 1e-8
 # Factors per partial product of frexp mantissas: each lies in [0.5, 1), so
 # a chunk stays above 2**-512 and cannot underflow.
 _MANTISSA_CHUNK = 512
+
+# Sites per rescaling in _continuant: with |w| <= 1 and |z| <= 1 its values
+# grow by at most 2**16 between two rescalings.
+_RESCALE_SITES = 16
 
 # Levels sqrt(mu) with |mu| below this fraction of the largest |mu| have
 # lost digits to the square root: on an open chain they get Newton steps on
@@ -127,7 +133,7 @@ def _twisted_vectors(upper, lower, eigenvalues, partners=False):
         float(np.max(np.abs(upper), initial=0.0)),
         float(np.max(np.abs(lower), initial=0.0)),
     )
-    tiny = max(_EPS * scale, float(np.finfo(float).tiny))
+    tiny = max(_EPS * scale, _TINY)
     # row k holds the forward pivot d+_k and the backward pivot d-_{n-1-k}
     pivots = np.empty((n, 2, len(shift)), dtype=shift.dtype)
     pivots[0] = shift
@@ -231,38 +237,8 @@ def eig_sym_tridiag(block: BandedHamiltonian, want_vectors: bool = False) -> Spe
 
 
 # ---------------------------------------------------------------------------
-# scaled determinant arithmetic (mantissa * 2**exponent)
+# the continuant and scaled determinants
 # ---------------------------------------------------------------------------
-
-
-def _ldexp_c(m: complex, k: int) -> complex:
-    return complex(math.ldexp(m.real, k), math.ldexp(m.imag, k))
-
-
-def _snorm(m: complex, e: int) -> tuple[complex, int]:
-    if m == 0:
-        return 0.0 + 0.0j, 0
-    k = math.frexp(abs(m))[1]
-    if -512 < k < 512:
-        return m, e
-    return _ldexp_c(m, -k), e + k
-
-
-def _smul(a: tuple[complex, int], b: tuple[complex, int]) -> tuple[complex, int]:
-    return _snorm(a[0] * b[0], a[1] + b[1])
-
-
-def _sadd(a: tuple[complex, int], b: tuple[complex, int]) -> tuple[complex, int]:
-    if a[0] == 0:
-        return b
-    if b[0] == 0:
-        return a
-    if a[1] < b[1]:
-        a, b = b, a
-    shift = b[1] - a[1]
-    if shift < -2000:
-        return a
-    return _snorm(a[0] + _ldexp_c(b[0], shift), a[1])
 
 
 def _sprod(values: np.ndarray) -> tuple[complex, int]:
@@ -277,44 +253,39 @@ def _sprod(values: np.ndarray) -> tuple[complex, int]:
     return complex(m), e
 
 
-def _continuant(upper, lower, z) -> tuple[complex, int]:
-    """Determinant of (T - zI) for the zero-diagonal tridiagonal T."""
-    a = 0j - z
-    exp = 0
-    p_prev, p = 1.0 + 0.0j, a
-    for up, lo in zip(upper, lower):
-        w = complex(up) * complex(lo)
-        p_prev, p = p, a * p - w * p_prev
-        m = max(abs(p), abs(p_prev))
-        if m > 2.0**256:
-            p = _ldexp_c(p, -512)
-            p_prev = _ldexp_c(p_prev, -512)
-            exp += 512
-        elif 0.0 < m < 2.0**-256:
-            p = _ldexp_c(p, 512)
-            p_prev = _ldexp_c(p_prev, 512)
-            exp -= 512
-    return _snorm(p, exp)
+def _continuant(w, z, derivative=False):
+    """det(T - zI) of a zero-diagonal tridiagonal T with bond products ``w``.
 
-
-def _det_scaled(h: BandedHamiltonian, z: complex) -> tuple[complex, int]:
-    """det(H - zI): continuant plus ring-closure correction."""
-    p = _continuant(h.upper, h.lower, z)
-    if not h.is_pbc:
-        return p
-    n = h.length
-    if n < 3:
-        raise ValueError("corner-corrected determinant requires dimension >= 3")
-    q = _continuant(h.upper[1 : n - 2], h.lower[1 : n - 2], z)
-    corner_up, corner_down = h.effective_corners()
-    cu = (complex(corner_up), 0)
-    cd = (complex(corner_down), 0)
-    cucd = _smul(cu, cd)
-    sgn = 1.0 if n % 2 == 1 else -1.0
-    cyc_u = _smul(cu, _sprod(h.upper))
-    cyc_d = _smul(cd, _sprod(h.lower))
-    cyc = _smul((sgn + 0.0j, 0), _sadd(cyc_u, cyc_d))
-    return _sadd(p, _sadd(_smul((-1.0 + 0.0j, 0), _smul(cucd, q)), cyc))
+    Runs p_k = -z p_{k-1} - w_{k-1} p_{k-2} from p_0 = 1 over the len(w) + 1
+    sites and returns (p, dp/dz, exponent), the value being p * 2**exponent;
+    dp/dz is carried only with ``derivative`` and is 0 otherwise.  The same
+    arithmetic runs on a complex number ``z`` with ``w`` a list of Python
+    numbers, and on an array of points, where each w_k is a number or a row
+    over the points.  Callers scale so that |w| <= 1 and |z| <= 1: then p
+    grows by at most a factor 2 per site, and every _RESCALE_SITES sites all
+    carried values are multiplied by the power of two that brings the sum
+    of their moduli into [0.5, 1), which is exact.  The sum takes in dp,
+    which near a root can outgrow p, and the smallest normal float, which
+    keeps the factor finite when all the values are 0 or subnormal.  For a
+    number that factor is an ``np.float64``, a ``float``, so p stays a
+    Python complex.
+    """
+    a = 0.0 - z
+    p_prev, p = 1.0, a
+    dp_prev, dp = 0.0, (-1.0 if derivative else 0.0)
+    exponent = np.int64(0)
+    for start in range(0, len(w), _RESCALE_SITES):
+        if derivative:
+            for wk in w[start : start + _RESCALE_SITES]:
+                p_prev, p, dp_prev, dp = p, a * p - wk * p_prev, dp, a * dp - p - wk * dp_prev
+        else:
+            for wk in w[start : start + _RESCALE_SITES]:
+                p_prev, p = p, a * p - wk * p_prev
+        e = np.frexp(abs(p) + abs(p_prev) + abs(dp) + abs(dp_prev) + _TINY)[1]
+        scale = np.ldexp(1.0, -e)
+        p, p_prev, dp, dp_prev = p * scale, p_prev * scale, dp * scale, dp_prev * scale
+        exponent = exponent + e
+    return p, dp, exponent
 
 
 @dataclass(frozen=True)
@@ -337,15 +308,45 @@ class ScaledDeterminant:
         return self.mantissa / abs(self.mantissa)
 
     def value(self) -> complex:
-        return _ldexp_c(self.mantissa, self.exponent)
+        m, e = self.mantissa, self.exponent
+        return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
 
 
 def det_shifted(h, z: complex) -> ScaledDeterminant:
-    """det(H - zI) via the continuant recurrence with scale tracking."""
+    """det(H - zI) from the continuant, plus the ring-closure terms of a ring.
+
+    The bonds, the corners and z are first divided by one power of two that
+    brings the largest of them into [0.5, 1), so that the continuant's
+    inputs meet its bounds; the determinant of n sites takes n times that
+    exponent back.  A ring of n sites adds -c_u c_d times the continuant of
+    the n - 2 inner sites and (-1)^(n+1) (c_u prod u + c_d prod l), the
+    four terms summed at the largest of their exponents.
+    """
     if not isinstance(h, BandedHamiltonian):
         raise TypeError("det_shifted expects a banded matrix")
-    mantissa, exponent = _det_scaled(h, complex(z))
-    return ScaledDeterminant(mantissa, exponent)
+    n = h.length
+    if h.is_pbc and n < 3:
+        raise ValueError("corner-corrected determinant requires dimension >= 3")
+    z = complex(z)
+    corner_up, corner_down = h.effective_corners()
+    unit = binary_scale(np.concatenate((h.upper, h.lower, [corner_up, corner_down, z])))
+    upper, lower = h.upper / unit, h.lower / unit
+    w = (upper * lower).tolist()
+    shift = z / unit
+    mantissa, _, exponent = _continuant(w, shift)
+    if h.is_pbc:
+        q, _, e_q = _continuant(w[1 : n - 2], shift)
+        cu, cd = corner_up / unit, corner_down / unit
+        sgn = 1.0 if n % 2 == 1 else -1.0
+        m_u, e_u = _sprod(upper)
+        m_d, e_d = _sprod(lower)
+        terms = [
+            (mantissa, exponent), (-cu * cd * q, e_q), (sgn * cu * m_u, e_u), (sgn * cd * m_d, e_d)
+        ]
+        exponent = max((e for m, e in terms if m), default=0)
+        mantissa = sum(m * np.ldexp(1.0, e - exponent) for m, e in terms if m)
+    exponent = int(exponent) + n * (math.frexp(unit)[1] - 1)
+    return ScaledDeterminant(complex(mantissa), exponent)
 
 
 @dataclass(frozen=True)
@@ -412,34 +413,6 @@ def _checked(h: BandedHamiltonian, lam, vectors) -> Spectrum:
     )
 
 
-def _continuant_newton(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Refine the levels sqrt|mu| of an open chain by Newton on its continuant.
-
-    A real level x (mu > 0) is a root of p_k = -x p_{k-1} - w_{k-1} p_{k-2};
-    an imaginary level iy (mu < 0) makes y a root of the same real recurrence
-    with w replaced by -w.  The loop runs over sites, numpy over levels, and
-    each step rescales p and its derivative by a power of two, which leaves
-    their ratio exact.  A level whose step is not finite stays where it is.
-    """
-    x = np.sqrt(np.abs(mu))
-    omega = np.where(mu > 0, 1.0, -1.0)[None, :] * w[:, None]
-    for _ in range(_NEWTON_STEPS):
-        p_prev, p = np.ones_like(x), -x
-        dp_prev, dp = np.zeros_like(x), -np.ones_like(x)
-        for om in omega:
-            p_prev, p = p, -x * p - om * p_prev
-            dp_prev, dp = dp, -p_prev - x * dp - om * dp_prev
-            exp = np.frexp(np.max(np.abs([p, p_prev, dp, dp_prev]), axis=0))[1]
-            p, p_prev, dp, dp_prev = (np.ldexp(a, -exp) for a in (p, p_prev, dp, dp_prev))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = p / dp
-        step[~np.isfinite(step)] = 0.0
-        x = np.abs(x - step)
-        if np.all(np.abs(step) <= _EPS * x):
-            break
-    return x
-
-
 def _piece_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sqrt|mu| and mu over the eigenvalues mu of S for one piece.
 
@@ -465,7 +438,20 @@ def _piece_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     root = np.sqrt(np.abs(mu))
     small = np.abs(mu) <= _POLISH_RTOL * np.max(np.abs(mu), initial=0.0)
     if np.any(small):
-        root[small] = _continuant_newton(w, mu[small])
+        # Newton on the continuant: a real level x (mu > 0) is a root of the
+        # continuant of w, and an imaginary level iy (mu < 0) makes y a root
+        # of the continuant of -w; a step that is not finite is not taken
+        x = root[small]
+        omega = w[:, None] * np.where(mu[small] > 0, 1.0, -1.0)
+        for _ in range(_NEWTON_STEPS):
+            p, dp, _ = _continuant(omega, x, derivative=True)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = p / dp
+            step[~np.isfinite(step)] = 0.0
+            x = np.abs(x - step)
+            if np.all(np.abs(step) <= _EPS * x):
+                break
+        root[small] = x
     return root, mu
 
 

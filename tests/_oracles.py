@@ -209,6 +209,92 @@ def charpoly(dense: np.ndarray) -> np.ndarray:
     return poly
 
 
+# ---------------------------------------------------------------------------
+# scalar determinant with (mantissa, exponent) arithmetic, one site at a time
+# ---------------------------------------------------------------------------
+
+
+def _ldexp_c(m: complex, k: int) -> complex:
+    return complex(math.ldexp(m.real, k), math.ldexp(m.imag, k))
+
+
+def _snorm(m: complex, e: int) -> tuple[complex, int]:
+    if m == 0:
+        return 0.0 + 0.0j, 0
+    k = math.frexp(abs(m))[1]
+    if -512 < k < 512:
+        return m, e
+    return _ldexp_c(m, -k), e + k
+
+
+def _smul(a: tuple[complex, int], b: tuple[complex, int]) -> tuple[complex, int]:
+    return _snorm(a[0] * b[0], a[1] + b[1])
+
+
+def _sadd(a: tuple[complex, int], b: tuple[complex, int]) -> tuple[complex, int]:
+    if a[0] == 0:
+        return b
+    if b[0] == 0:
+        return a
+    if a[1] < b[1]:
+        a, b = b, a
+    shift = b[1] - a[1]
+    if shift < -2000:
+        return a
+    return _snorm(a[0] + _ldexp_c(b[0], shift), a[1])
+
+
+def scaled_product(values) -> tuple[complex, int]:
+    """Product of the factors as (mantissa, exponent), one factor at a time;
+    any zero gives (0, 0)."""
+    m, e = 1.0 + 0.0j, 0
+    for x in values:
+        m, e = _snorm(m * complex(x), e)
+        if m == 0:
+            return 0.0 + 0.0j, 0
+    return m, e
+
+
+def _scaled_continuant(upper, lower, z) -> tuple[complex, int]:
+    """det(T - zI) for the zero-diagonal tridiagonal T, rescaled by 2**512
+    whenever its values leave [2**-256, 2**256]."""
+    a = 0j - z
+    exp = 0
+    p_prev, p = 1.0 + 0.0j, a
+    for up, lo in zip(upper, lower):
+        w = complex(up) * complex(lo)
+        p_prev, p = p, a * p - w * p_prev
+        m = max(abs(p), abs(p_prev))
+        if m > 2.0**256:
+            p = _ldexp_c(p, -512)
+            p_prev = _ldexp_c(p_prev, -512)
+            exp += 512
+        elif 0.0 < m < 2.0**-256:
+            p = _ldexp_c(p, 512)
+            p_prev = _ldexp_c(p_prev, 512)
+            exp -= 512
+    return _snorm(p, exp)
+
+
+def scaled_det(h, z: complex) -> tuple[complex, int]:
+    """det(H - zI) of a ``BandedHamiltonian`` as (mantissa, exponent): the
+    continuant plus the ring-closure terms, on the amplitudes as given, so
+    it underflows where they do."""
+    p = _scaled_continuant(h.upper, h.lower, z)
+    if not h.is_pbc:
+        return p
+    n = h.length
+    q = _scaled_continuant(h.upper[1 : n - 2], h.lower[1 : n - 2], z)
+    corner_up, corner_down = h.effective_corners()
+    cu = (complex(corner_up), 0)
+    cd = (complex(corner_down), 0)
+    sgn = 1.0 if n % 2 == 1 else -1.0
+    cyc_u = _smul(cu, scaled_product(h.upper))
+    cyc_d = _smul(cd, scaled_product(h.lower))
+    cyc = _smul((sgn + 0.0j, 0), _sadd(cyc_u, cyc_d))
+    return _sadd(p, _sadd(_smul((-1.0 + 0.0j, 0), _smul(_smul(cu, cd), q)), cyc))
+
+
 def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z, dtype=complex)
     for c in coeffs[::-1]:

@@ -317,6 +317,18 @@ class TestWinding:
         with pytest.raises(ValueError):
             winding_number(ring, 0.0, 32)
 
+    @pytest.mark.parametrize(
+        "scale",
+        [1e-12, 1e-150, math.ldexp(1.0, -520), math.ldexp(1.0, 500)],
+        ids=["1e-12", "1e-150", "2^-520", "2^500"],
+    )
+    @pytest.mark.parametrize(("gamma", "winding"), [(0.001, 1), (0.1, 1), (2.0, 0)])
+    def test_winding_does_not_depend_on_the_scale(self, scale, gamma, winding):
+        # the ring and the base point scaled together: the collapse floor
+        # scales with them, and the determinant keeps its digits
+        params = LatticeParams(t=scale, gamma=gamma * scale, length=100, boundary=Boundary.PBC)
+        assert winding_number(params, scale) == winding
+
     def test_base_point_on_the_spectrum_is_detected(self):
         # reciprocal ring: spectrum = 2 cos(2 pi k / L), flux-independent points exist
         params = LatticeParams(t=1.0, gamma=0.0, length=64, boundary=Boundary.PBC)

@@ -230,6 +230,16 @@ class TestWindingCommand:
             ["winding", "--gamma", "0.001", "--length", "100", "--out", tmp_path / "w2"]
         ) == 2
 
+    def test_small_ring_winds_as_at_unit_scale(self, tmp_path):
+        assert run(
+            [
+                "winding", "--t", "1e-12", "--gamma", "1e-15", "--length", "100",
+                "--boundary", "pbc", "--base-re", "0", "--base-im", "0", "--out", tmp_path / "w",
+            ]
+        ) == 0
+        lines = (tmp_path / "w_winding.csv").read_text().splitlines()
+        assert lines[-1].startswith("# winding=1 point_gap=true")
+
     def test_base_point_on_spectrum_exit_code(self, tmp_path):
         base = 2.0 * math.cos(2.0 * math.pi * 16 / 64)
         assert run(
@@ -263,12 +273,6 @@ class TestFigureCommand:
         assert made == {"1b_obc_spectrum.csv", "1b_obc_blocks.csv", "1b_params.json"}
         params = json.loads((tmp_path / "f1b" / "1b_params.json").read_text())
         assert params["gamma"] == 0.02 and params["length"] == 100
-
-    def test_workers_variable_is_read_only_for_sweep_panels(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RAMPHOP_WORKERS", "abc")
-        assert run(["figure", "1a", "--out", tmp_path / "f1a"]) == 0
-        assert run(["figure", "2a", "--out", tmp_path / "f2a"]) == 2
-        assert not (tmp_path / "f2a").exists()
 
     def test_bound_state_panel_parameters(self, tmp_path):
         assert run(["figure", "3b", "--out", tmp_path / "f3b"]) == 0

@@ -24,7 +24,14 @@ from ramphop import (
     solve_spectrum,
     spectral_moments,
 )
-from ramphop.eigen import RESIDUAL_RTOL, _checked, _snorm, _sprod, _twisted_vectors
+from ramphop.eigen import (
+    RESIDUAL_RTOL,
+    ScaledDeterminant,
+    _checked,
+    _continuant,
+    _sprod,
+    _twisted_vectors,
+)
 from _strategies import amplitudes, open_ramps
 from _oracles import (
     charpoly,
@@ -34,6 +41,8 @@ from _oracles import (
     dense_matrix,
     max_pairing_gap,
     nearest_first_gaps,
+    scaled_det,
+    scaled_product,
 )
 
 _EPS = float(np.finfo(float).eps)
@@ -434,14 +443,92 @@ class TestDeterminant:
         assert abs(det.phase - sign) < 1e-12
 
 
-def _sprod_loop(values):
-    """Reference: the factor-by-factor scaled product."""
-    m, e = 1.0 + 0.0j, 0
-    for x in values:
-        m, e = _snorm(m * complex(x), e)
-        if m == 0:
-            return 0.0 + 0.0j, 0
-    return m, e
+    @given(
+        amplitudes,
+        amplitudes,
+        st.integers(min_value=3, max_value=120),
+        st.booleans(),
+        st.floats(min_value=0.0, max_value=6.28),
+        amplitudes,
+        amplitudes,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scalar_reference(self, t, gamma, length, pbc, theta, zr, zi):
+        # at ordinary amplitudes nothing underflows, and the one-site-at-a-time
+        # (mantissa, exponent) determinant is a reference for every digit
+        boundary = Boundary.PBC if pbc else Boundary.OBC
+        params = LatticeParams(t=t, gamma=gamma, length=length, boundary=boundary)
+        h = build_flux_twisted(params, theta) if pbc else build_hamiltonian(params)
+        z = complex(zr, zi)
+        mine, ref = det_shifted(h, z), ScaledDeterminant(*scaled_det(h, z))
+        if ref.mantissa == 0:
+            assert mine.mantissa == 0
+            return
+        assert mine.log_abs == pytest.approx(ref.log_abs, rel=1e-13, abs=1e-13)
+        assert abs(mine.phase - ref.phase) <= 1e-13
+
+    @pytest.mark.parametrize("pbc", [False, True])
+    @pytest.mark.parametrize("exponent", [-540, -520, 500])
+    def test_scaling_the_matrix_by_a_power_of_two_only_moves_the_exponent(self, exponent, pbc):
+        boundary = Boundary.PBC if pbc else Boundary.OBC
+
+        def det(scale):
+            params = LatticeParams(t=1.3 * scale, gamma=0.7 * scale, length=12, boundary=boundary)
+            h = build_flux_twisted(params, 0.4) if pbc else build_hamiltonian(params)
+            return det_shifted(h, complex(0.3, 0.2) * scale)
+
+        unit, scaled = det(1.0), det(math.ldexp(1.0, exponent))
+        assert unit.mantissa != 0
+        assert scaled.mantissa == unit.mantissa
+        assert scaled.exponent == unit.exponent + 12 * exponent
+
+    @pytest.mark.parametrize("pbc", [False, True])
+    @pytest.mark.parametrize("length", [10, 101, 1200])
+    @pytest.mark.parametrize("exponent", [-540, -520, 0, 500])
+    def test_matches_slogdet_at_any_scale(self, exponent, length, pbc):
+        boundary = Boundary.PBC if pbc else Boundary.OBC
+        scale = math.ldexp(1.0, exponent)
+        params = LatticeParams(t=scale, gamma=0.3 * scale / length, length=length, boundary=boundary)
+        h = build_flux_twisted(params, 0.7) if pbc else build_hamiltonian(params)
+        z = complex(0.2, 0.1) * scale
+        det = det_shifted(h, z)
+        # slogdet on the matrix divided by the scale, which is exact
+        sign, log_abs = np.linalg.slogdet((h.to_dense() - z * np.eye(length)) / scale)
+        log_abs += length * exponent * math.log(2.0)
+        assert det.log_abs == pytest.approx(log_abs, rel=1e-13)
+        assert abs(det.phase - sign) < 1e-12
+
+
+def _unit_disk_points(size):
+    polar = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+    points = st.lists(polar, min_size=1, max_size=size)
+    return points.map(lambda pts: [r * complex(math.cos(a), math.sin(a)) for r, a in pts])
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=400),
+    _unit_disk_points(8),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_continuant_on_an_array_matches_one_point_calls(w, points, derivative):
+    # the final rescaling brings the sum of the carried moduli into [0.5, 1),
+    # so mantissas compared at one exponent are relative to the recurrence's
+    # size; numpy rounds complex products differently from Python, and the
+    # derivative gathers that rounding faster along the chain (8e-14 seen
+    # at 400 sites)
+    p, dp, exponent = _continuant(np.array(w), np.array(points), derivative)
+    # with no bonds, nothing is rescaled and dp and the exponent stay numbers
+    dp, exponent = np.broadcast_to(dp, p.shape), np.broadcast_to(exponent, p.shape)
+    for k, z in enumerate(points):
+        p1, dp1, exponent1 = _continuant(w, z, derivative)
+        assert isinstance(p1, complex)
+        shift = math.ldexp(1.0, int(exponent[k] - exponent1))
+        assert abs(p[k] * shift - p1) <= 1e-13
+        if derivative:
+            assert abs(dp[k] * shift - dp1) <= 1e-12
+        else:
+            assert dp1 == 0.0 and dp[k] == 0.0
 
 
 @pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 2000])
@@ -449,14 +536,14 @@ def test_chunked_product_matches_the_loop(length):
     rng = np.random.default_rng(length)
     values = rng.choice([-1.0, 1.0], length) * np.exp(rng.uniform(-3.0, 3.0, length))
     m, e = _sprod(values)
-    m_ref, e_ref = _sprod_loop(values)
+    m_ref, e_ref = scaled_product(values)
     log_abs = math.log(abs(m)) + e * math.log(2.0)
     log_ref = math.log(abs(m_ref)) + e_ref * math.log(2.0)
     assert log_abs == pytest.approx(log_ref, rel=1e-12, abs=1e-12)
     assert np.sign(m.real) == np.sign(m_ref.real) and m.imag == 0.0
     if length:
         values[length // 2] = 0.0
-        assert _sprod(values) == _sprod_loop(values) == (0.0, 0)
+        assert _sprod(values) == scaled_product(values) == (0.0, 0)
 
 
 class TestMoments:
