@@ -77,7 +77,6 @@ def _config(args: argparse.Namespace) -> dict:
         "length": args.length,
         "boundary": args.boundary,
         "format": args.format,
-        "seed": args.seed,
     }
 
 
@@ -339,7 +338,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     recipe = FIGURES[figure_id]
     t = recipe.get("t", 1.0)
     length = recipe["length"]
-    shared = [f"--t={t!r}", f"--length={length}", f"--format={args.format}", f"--seed={args.seed}"]
+    shared = [f"--t={t!r}", f"--length={length}", f"--format={args.format}"]
     runs: dict[str, list[str]] = {}  # description -> command line
     if "sweep" in recipe:
         lo, hi, steps = recipe["sweep"]
@@ -380,7 +379,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
             "sweep": recipe.get("sweep"),
             "commands": list(runs),
             "format": args.format,
-            "seed": args.seed,
         },
     )
     return 0
@@ -395,9 +393,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", type=Path, required=True, help="output path stem")
-    p.add_argument(
-        "--seed", type=int, default=0, help="recorded in the output config only"
-    )
     # solved spectra that ``figure`` shares between the commands it runs
     p.set_defaults(spectra=None)
 
@@ -447,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("figure_id", help="e.g. 1a, 2d, 3b, 5a")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", type=Path, required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(runner=cmd_figure)
 

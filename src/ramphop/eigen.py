@@ -42,11 +42,12 @@ _MANTISSA_CHUNK = 512
 _RESCALE_SITES = 16
 
 # Levels sqrt(mu) with |mu| below this fraction of the largest |mu| have
-# lost digits to the square root: on an open chain they get Newton steps on
-# the continuant, at most _NEWTON_STEPS of them, and a ring with one is
-# solved whole.
+# lost digits to the square root: on an open chain they get Newton steps in
+# mu on the continuant, and a ring with one is solved whole.  Where the
+# continuant is only known to rounding, a step still lowers mu by about a
+# factor eps, so _NEWTON_STEPS lets mu fall from 1 to 2**-1074 that way.
 _POLISH_RTOL = math.sqrt(_EPS)
-_NEWTON_STEPS = 4
+_NEWTON_STEPS = 64
 
 
 @dataclass(eq=False)
@@ -97,7 +98,7 @@ def _log_polar_cumprod(ratios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_mag, ratios
 
 
-def _twisted_vectors(upper, lower, eigenvalues, partners=False):
+def _twisted_vectors(upper, lower, eigenvalues):
     """Right eigenvectors of a zero-diagonal tridiagonal, one unit column per eigenvalue.
 
     Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
@@ -116,9 +117,7 @@ def _twisted_vectors(upper, lower, eigenvalues, partners=False):
     same as running on any diagonally similar form and mapping back.
 
     A pivot below eps * scale is replaced by that value.  Returned are the
-    vectors, a mask of the columns where that happened and the twist of
-    each column.  With ``partners``, the columns of -lambda for the masked
-    levels follow the others, in column order.
+    vectors and a mask of the columns where that happened.
 
     The bonds and levels are first divided by one power of two, which keeps
     the bond products from underflowing at tiny amplitudes; the vectors do
@@ -149,19 +148,13 @@ def _twisted_vectors(upper, lower, eigenvalues, partners=False):
     if guarded.any():
         # columns are independent: rerun the ones that need the guard
         redo_shift = shift[guarded]
-        if partners:
-            redo_shift = np.concatenate((redo_shift, -redo_shift))
-            shift = np.concatenate((shift, -shift[guarded]))
         redo = np.empty((n, 2, len(redo_shift)), dtype=shift.dtype)
         redo[0] = redo_shift
         for k in range(n - 1):
             p = redo[k]
             p[np.abs(p) < tiny] = tiny
             np.subtract(redo_shift, steps[k] / p, out=redo[k + 1])
-        count = int(np.count_nonzero(guarded))
-        pivots[:, :, guarded] = redo[:, :, :count]
-        if partners:
-            pivots = np.concatenate((pivots, redo[:, :, count:]), axis=2)
+        pivots[:, :, guarded] = redo
         del redo
     fwd = pivots[:, 0].copy()
     bwd = pivots[::-1, 1].copy()
@@ -185,40 +178,26 @@ def _twisted_vectors(upper, lower, eigenvalues, partners=False):
     log_v -= np.max(log_v, axis=0)
     v *= np.exp(log_v)
     v /= np.linalg.norm(v, axis=0)
-    return v, guarded, twist
+    return v, guarded
 
 
 def _chain_vectors(upper, lower, lam) -> np.ndarray:
     """Unit eigenvectors of an open zero-diagonal chain, for sorted levels ``lam``.
 
-    With D = diag((-1)^k), D H D = -H, so D v belongs to -lambda whenever v
-    belongs to lambda.  When the levels come in exact pairs,
-    ``lam == -lam[::-1]``, the twisted factorization runs on the first half
-    (with the middle level of an odd chain, its own partner), and each
-    level of the second half takes the column of its mirror with the sign
-    flipped on the sites an odd distance from the mirror's twist.  Every
-    pivot of -lambda is the exact negation of one of lambda, and |lambda|
-    sets the same pivot floor on both halves, so that is the kernel's own
-    column for -lambda, equal value for value; only zero parts may differ
-    in sign.  A guarded pivot is replaced by +tiny, not negated, so the
-    partner of a column that hit the guard comes from the kernel itself.
+    The levels of ``_chain_levels`` come in exact pairs, so after the sort
+    ``lam == -lam[::-1]``.  With D = diag((-1)^k), D H D = -H, so D v
+    belongs to -lambda whenever v belongs to lambda.  The twisted
+    factorization runs on the first half of the levels (with the middle
+    level of an odd chain, its own partner), and each level of the second
+    half takes the column of its mirror with rows 1::2 negated, as
+    ``_bipartite_ring`` does.  Negation is exact, so each partner's |v| and
+    residual equal its mirror's bit for bit.
     """
-    n = len(lam)
-    half = n // 2
-    if not np.array_equal(lam, -lam[::-1]):
-        return _twisted_vectors(upper, lower, lam)[0]
-    solved, guarded, twist = _twisted_vectors(upper, lower, lam[: n - half], partners=True)
-    vectors = np.empty((len(upper) + 1, n), dtype=solved.dtype)
-    vectors[:, : n - half] = solved[:, : n - half]
-    second = vectors[:, n - half :]
-    second[...] = solved[:, :half][:, ::-1]
-    odd = (np.arange(len(upper) + 1)[:, None] - twist[:half][::-1]) % 2 == 1
-    np.negative(second, out=second, where=odd)
-    # the partner columns are in the order of their guarded mirrors; the
-    # middle level of an odd chain is its own partner, already solved
-    mirrors = np.flatnonzero(guarded)
-    keep = mirrors < half
-    second[:, half - 1 - mirrors[keep]] = solved[:, n - half :][:, keep]
+    first = len(lam) - len(lam) // 2
+    solved = _twisted_vectors(upper, lower, lam[:first])[0]
+    vectors = np.concatenate((solved, solved[:, : len(lam) - first][:, ::-1]), axis=1)
+    odd = vectors[1::2, first:]
+    np.negative(odd, out=odd)
     return vectors
 
 
@@ -438,18 +417,23 @@ def _piece_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     root = np.sqrt(np.abs(mu))
     small = np.abs(mu) <= _POLISH_RTOL * np.max(np.abs(mu), initial=0.0)
     if np.any(small):
-        # Newton on the continuant: a real level x (mu > 0) is a root of the
-        # continuant of w, and an imaginary level iy (mu < 0) makes y a root
-        # of the continuant of -w; a step that is not finite is not taken
+        # Newton in x**2 on the continuant: a real level x (mu > 0) is a root
+        # of the continuant p of w, and an imaginary level iy (mu < 0) makes
+        # y a root of the continuant of -w.  p(x) is Q(x**2), or x Q(x**2) on
+        # a piece of odd size, and the step Q / Q' in x**2 is 2x p / p', or
+        # 2x**2 p / (x p' - p); in x itself a step only halves x while the
+        # two roots +-x are near each other.  A step that is not finite is
+        # not taken.
         x = root[small]
         omega = w[:, None] * np.where(mu[small] > 0, 1.0, -1.0)
         for _ in range(_NEWTON_STEPS):
             p, dp, _ = _continuant(omega, x, derivative=True)
+            square = x * x
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = p / dp
+                step = 2.0 * square * p / (x * dp - p) if len(w) % 2 == 0 else 2.0 * x * p / dp
             step[~np.isfinite(step)] = 0.0
-            x = np.abs(x - step)
-            if np.all(np.abs(step) <= _EPS * x):
+            x = np.sqrt(np.abs(square - step))
+            if np.all(np.abs(step) <= _EPS * square):
                 break
         root[small] = x
     return root, mu
@@ -551,7 +535,7 @@ def eig_general(h: BandedHamiltonian, want_vectors: bool = False) -> Spectrum:
     An open chain takes its levels from ``_chain_levels``, each exactly real
     or exactly imaginary, and its eigenvectors from the twisted
     factorization, run on one level of each +- pair and mirrored onto the
-    other by ``_chain_vectors``, which keeps every value; bond products
+    other by a sublattice sign flip in ``_chain_vectors``; bond products
     that are not real, or change sign more than once within a piece,
     raise ``ValueError``.  An even ring takes
     its levels and eigenvectors from ``_bipartite_ring``, in exact +- pairs;

@@ -295,6 +295,43 @@ def scaled_det(h, z: complex) -> tuple[complex, int]:
     return _sadd(p, _sadd(_smul((-1.0 + 0.0j, 0), _smul(_smul(cu, cd), q)), cyc))
 
 
+def bisected_level(upper, lower, lo: float, hi: float, imaginary: bool = False) -> float:
+    """The root x in (lo, hi) of det(H - xI), or of det(H - ixI) with
+    ``imaginary``, for the open zero-diagonal chain with real bonds
+    ``upper`` and ``lower``, by bisection on its continuant at 80 digits.
+
+    det(H - ixI) is i^n det(H/i - xI), and H/i has the bond products
+    -u_j l_j, so both cases bisect a real continuant of the exact products.
+    The midpoint is geometric, so a bracket over decades closes as fast as
+    a narrow one.  The bracket must hold one root: a sign change is
+    checked, not counted.
+    """
+    import mpmath
+
+    with mpmath.workdps(80):
+        sign = -1 if imaginary else 1
+        w = [sign * mpmath.mpf(float(u)) * mpmath.mpf(float(v)) for u, v in zip(upper, lower)]
+
+        def det(x):
+            p_prev, p = mpmath.mpf(1), -x
+            for wk in w:
+                p_prev, p = p, -x * p - wk * p_prev
+            return p
+
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        f_lo = det(lo)
+        if f_lo * det(hi) >= 0:
+            raise ValueError("the continuant does not change sign on the bracket")
+        while hi - lo > mpmath.mpf(10) ** -40 * lo:
+            mid = mpmath.sqrt(lo * hi)
+            f_mid = det(mid)
+            if f_mid * f_lo > 0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        return float(lo)
+
+
 def _polyval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = np.zeros_like(z, dtype=complex)
     for c in coeffs[::-1]:

@@ -27,13 +27,13 @@ from ramphop import (
 from ramphop.eigen import (
     RESIDUAL_RTOL,
     ScaledDeterminant,
-    _checked,
     _continuant,
     _sprod,
     _twisted_vectors,
 )
 from _strategies import amplitudes, open_ramps
 from _oracles import (
+    bisected_level,
     charpoly,
     complex_symmetric_levels,
     conditioned_levels,
@@ -128,17 +128,31 @@ def _bits(x):
 
 
 def _paired_route_matches_the_kernel(t, gamma, length):
-    """Solve an open chain and check its vectors against the kernel run on
-    every level: equal values, and |v| and residuals equal bit for bit."""
+    """Solve an open chain and check that each level of the second half
+    takes its mirror's column with rows 1::2 negated.
+
+    The first half must be the kernel's own columns, the second half the
+    mirrors sign-flipped, exactly, with residuals equal to the mirrors' bit
+    for bit; where the mirror took no pivot guard, |v| must also equal the
+    kernel's own column for -lambda bit for bit.  Returns the chain, its
+    levels and the guard mask of the first half.
+    """
     h = build_hamiltonian(LatticeParams(t=t, gamma=gamma, length=length))
     spec = eig_general(h, want_vectors=True)
-    lam = spec.eigenvalues
-    assert np.array_equal(lam, -lam[::-1])  # so the paired route ran
-    reference = _checked(h, lam, _twisted_vectors(h.upper, h.lower, lam)[0])
-    assert np.array_equal(spec.eigenvectors, reference.eigenvectors)
-    assert np.array_equal(_bits(np.abs(spec.eigenvectors)), _bits(np.abs(reference.eigenvectors)))
-    assert np.array_equal(_bits(spec.residuals), _bits(reference.residuals))
-    return h, lam
+    lam, vectors = spec.eigenvalues, spec.eigenvectors
+    assert np.array_equal(lam, -lam[::-1])
+    half = len(lam) // 2
+    first = len(lam) - half
+    solved, guarded = _twisted_vectors(h.upper, h.lower, lam[:first])
+    assert np.array_equal(_bits(vectors[:, :first]), _bits(solved))
+    mirrors = vectors[:, :half][:, ::-1].copy()
+    mirrors[1::2] = -mirrors[1::2]
+    assert np.array_equal(_bits(vectors[:, first:]), _bits(mirrors))
+    assert np.array_equal(_bits(spec.residuals[first:]), _bits(spec.residuals[:half][::-1]))
+    plain = ~guarded[:half][::-1]
+    own = _twisted_vectors(h.upper, h.lower, lam[first:])[0][:, plain]
+    assert np.array_equal(_bits(np.abs(vectors[:, first:][:, plain])), _bits(np.abs(own)))
+    return h, lam, guarded
 
 
 class TestPairedVectors:
@@ -152,12 +166,10 @@ class TestPairedVectors:
     @pytest.mark.parametrize(
         "t, gamma, length", [(1.0, 0.0, 101), (1.0, 0.0, 200), (1.0, -0.1, 200), (1.0, 0.02, 100)]
     )
-    def test_partners_of_guarded_columns_come_from_the_kernel(self, t, gamma, length):
-        # a mirrored column whose sweep hit the pivot guard would differ here
-        h, lam = _paired_route_matches_the_kernel(t, gamma, length)
-        half = len(lam) // 2
-        guarded = _twisted_vectors(h.upper, h.lower, lam[: len(lam) - half])[1]
-        assert guarded[:half].any()
+    def test_partners_of_guarded_columns_are_mirrored_too(self, t, gamma, length):
+        # these chains have first-half columns whose sweep hit the pivot guard
+        _, lam, guarded = _paired_route_matches_the_kernel(t, gamma, length)
+        assert guarded[: len(lam) // 2].any()
 
     @pytest.mark.parametrize(
         "t, gamma, length",
@@ -171,9 +183,16 @@ class TestPairedVectors:
         ],
     )
     def test_odd_chains_integer_splits_and_negative_ramps(self, t, gamma, length):
-        _, lam = _paired_route_matches_the_kernel(t, gamma, length)
+        _, lam, _ = _paired_route_matches_the_kernel(t, gamma, length)
         if length % 2:
             assert lam[length // 2] == 0.0
+
+
+def _alternating_chain(length):
+    """Symmetric open chain with bonds 0.3, 1.0, 0.3, ...: its two edge
+    levels are about 0.3**(length / 2)."""
+    bonds = np.where(np.arange(length - 1) % 2 == 0, 0.3, 1.0)
+    return BandedHamiltonian(length, bonds, bonds.copy())
 
 
 class TestOpenChainLevels:
@@ -203,6 +222,27 @@ class TestOpenChainLevels:
         lam = eig_general(h).eigenvalues
         oracle = complex_symmetric_levels(1.0, gamma, length)
         assert max_pairing_gap(lam, oracle) <= 1e-14 * h.frobenius_norm()
+
+    @pytest.mark.parametrize(
+        "h, lo, hi, imaginary",
+        [
+            (build_hamiltonian(LatticeParams(t=0.7, gamma=0.1, length=100)), 1e-9, 1e-8, True),
+            (_alternating_chain(40), 1e-11, 1e-10, False),
+            (_alternating_chain(400), 1e-106, 1e-104, False),
+        ],
+        ids=["ramp-0.7-0.1-100", "alternating-40", "alternating-400"],
+    )
+    def test_tiny_level_pairs_match_a_high_precision_bisection(self, h, lo, hi, imaginary):
+        # each chain has one pair +-x far below sqrt(eps) times its largest
+        # level, so sqrt(mu) alone has no digit of x right, and a Newton step
+        # in x only halves x while +-x lie close together
+        pytest.importorskip("mpmath")
+        exact = bisected_level(h.upper, h.lower, lo, hi, imaginary)
+        lam = eig_general(h).eigenvalues
+        part = lam.imag if imaginary else lam.real
+        found = part[(part > lo) & (part < hi)]
+        assert len(found) == 1
+        assert abs(found[0] - exact) <= 1e-10 * exact
 
     @pytest.mark.parametrize("t, gamma", [(2.5e150, 1e150), (2.5e-85, 1e-85)])
     def test_levels_at_extreme_scale_match_lapack(self, t, gamma):
