@@ -28,6 +28,7 @@ from .model import (
     Boundary,
     LatticeParams,
     RegimeKind,
+    binary_scale,
     build_flux_twisted,
     build_hamiltonian,
     classify_regime,
@@ -389,7 +390,9 @@ def global_envelope(states) -> np.ndarray:
     """Pointwise maximum amplitude over a family of states, unit peak.
 
     Each state enters with unit 2-norm so the family shares one scale; the
-    combined profile is then rescaled to maximum one.
+    combined profile is then rescaled to maximum one.  Each column is first
+    divided by a power of two near its largest amplitude, which is exact, so
+    the squares in its norm neither underflow nor overflow.
     """
     if isinstance(states, np.ndarray) and states.ndim == 2:
         mat = states.astype(complex)
@@ -400,6 +403,7 @@ def global_envelope(states) -> np.ndarray:
         mat = np.column_stack(seq)
     if mat.shape[1] == 0:
         raise ValueError("need at least one state")
+    mat /= binary_scale(mat, axis=0)
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm state in family")

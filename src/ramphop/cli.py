@@ -7,7 +7,8 @@ Identical arguments produce byte-identical output files; sweeps parallelize
 over gamma without touching the output order.  ``figure ID`` parses and runs
 the ``spectrum``/``states``/``sweep`` command lines its panel recipe lists,
 with the same parser and runners as a user's own command line; a chain that
-two of those lines need is solved once for the panel.
+two of those lines need is solved once for the panel.  In JSON, a ``states``
+document is the ``spectrum`` document of its chain plus its own sections.
 """
 
 from __future__ import annotations
@@ -70,14 +71,14 @@ def _params(args: argparse.Namespace) -> LatticeParams:
     )
 
 
+# Parsed arguments that do not describe the run: the subcommand, where its
+# files go, how many processes compute them and what ``figure`` passes along.
+_NOT_CONFIG = frozenset({"command", "out", "workers", "spectra", "runner"})
+
+
 def _config(args: argparse.Namespace) -> dict:
-    return {
-        "t": args.t,
-        "gamma": args.gamma,
-        "length": args.length,
-        "boundary": args.boundary,
-        "format": args.format,
-    }
+    """The JSON ``config``: every other parsed argument, in parser order."""
+    return {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
 
 
 def _regime_dict(params: LatticeParams) -> dict:
@@ -123,41 +124,46 @@ def _solve_with_vectors(params: LatticeParams, spectra: dict | None):
     return spec
 
 
+def _block_overlay(params: LatticeParams, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two gauge blocks' levels, each sorted by (real, imaginary) part as
+    ``eig_general`` returns them, and whether each level of sigma_a, then of
+    sigma_b, lies within the residual tolerance of the spectrum."""
+    sigma_a, sigma_b = block_spectra(params)
+    tol = RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()
+    union = np.concatenate([sigma_a, sigma_b])
+    matched = np.abs(spec.eigenvalues[None, :] - union[:, None]).min(axis=1) <= tol
+    return sigma_a, sigma_b, matched
+
+
+def _chain_document(args: argparse.Namespace, params: LatticeParams, spec, cs) -> dict:
+    """The JSON document of one solved chain; an open chain adds its block
+    overlay."""
+    doc = {
+        "config": _config(args),
+        "regime": _regime_dict(params),
+        "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
+        "analysis": {"ladder": _ladder_json(cs)},
+    }
+    if params.boundary is Boundary.OBC:
+        sigma_a, sigma_b, matched = _block_overlay(params, spec)
+        doc["blocks"] = {
+            "sigma_a": sigma_a.tolist(),
+            "sigma_b": rio.RowTable({"re": sigma_b.real, "im": sigma_b.imag}),
+            "mismatch": not matched.all(),
+        }
+    return doc
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params(args)
     spec = _solve_with_vectors(params, args.spectra)
     cs = classify(spec)
-    chain = params.boundary is Boundary.OBC
-    if chain:
-        sigma_a, sigma_b = block_spectra(params)
-        tol = RESIDUAL_RTOL * build_hamiltonian(params).frobenius_norm()
-        sorted_a = np.sort_complex(sigma_a.astype(complex))
-        sorted_b = np.sort_complex(sigma_b)
-        # Whether each sorted block level lies within tol of the spectrum.
-        union = np.concatenate([sorted_a, sorted_b])
-        matched = np.abs(spec.eigenvalues[None, :] - union[:, None]).min(axis=1) <= tol
     if args.format == "csv":
-        rio.write_spectrum_csv(
-            Path(f"{args.out}_spectrum.csv"), cs, spec.residuals
-        )
-        if chain:
-            rio.write_blocks_csv(
-                Path(f"{args.out}_blocks.csv"), sorted_a, sorted_b, matched
-            )
+        rio.write_spectrum_csv(Path(f"{args.out}_spectrum.csv"), cs, spec.residuals)
+        if params.boundary is Boundary.OBC:
+            rio.write_blocks_csv(Path(f"{args.out}_blocks.csv"), *_block_overlay(params, spec))
     else:
-        doc = {
-            "config": _config(args),
-            "regime": _regime_dict(params),
-            "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
-            "analysis": {"ladder": _ladder_json(cs)},
-        }
-        if chain:
-            doc["blocks"] = {
-                "sigma_a": [float(v) for v in sigma_a],
-                "sigma_b": rio.RowTable({"re": sigma_b.real, "im": sigma_b.imag}),
-                "mismatch": not matched.all(),
-            }
-        rio.write_json(Path(f"{args.out}.json"), doc)
+        rio.write_json(Path(f"{args.out}.json"), _chain_document(args, params, spec, cs))
     return 0
 
 
@@ -210,15 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "csv":
         rio.write_sweep_csv(Path(f"{args.out}_sweep.csv"), columns)
     else:
-        doc = {
-            "config": _config(args)
-            | {
-                "gamma_min": args.gamma_min,
-                "gamma_max": args.gamma_max,
-                "gamma_steps": args.gamma_steps,
-            },
-            "rows": rio.RowTable(columns),
-        }
+        doc = {"config": _config(args), "rows": rio.RowTable(columns)}
         rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
 
@@ -279,22 +277,13 @@ def cmd_states(args: argparse.Namespace) -> int:
         rio.write_states_summary_csv(Path(f"{args.out}_summary.csv"), summary)
         rio.write_envelope_csv(Path(f"{args.out}_envelope.csv"), envelope)
     else:
-        doc = {
-            "config": _config(args) | {"select": args.select},
-            "regime": _regime_dict(params),
-            "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
-            "states": rio.RowTable(summary | {"amplitudes": profiles.T}),
-            "analysis": {
-                "ladder": _ladder_json(cs),
-                "envelopes": {
-                    "global": envelope.tolist(),
-                    "fit": rio.envelope_fit_json(env_fit) if env_fit else None,
-                    "fit_at_peak": rio.envelope_fit_json(env_fit_peak)
-                    if env_fit_peak
-                    else None,
-                },
-            },
+        doc = _chain_document(args, params, spec, cs)
+        doc["analysis"]["envelopes"] = {
+            "global": envelope.tolist(),
+            "fit": rio.envelope_fit_json(env_fit) if env_fit else None,
+            "fit_at_peak": rio.envelope_fit_json(env_fit_peak) if env_fit_peak else None,
         }
+        doc["states"] = rio.RowTable(summary | {"amplitudes": profiles.T})
         rio.write_json(Path(f"{args.out}.json"), doc)
     return 0
 
@@ -307,20 +296,15 @@ def cmd_winding(args: argparse.Namespace) -> int:
         rio.write_winding_csv(Path(f"{args.out}_winding.csv"), trace, base)
     else:
         doc = {
-            "config": _config(args)
-            | {
-                "base_re": args.base_re,
-                "base_im": args.base_im,
-                "theta_steps": args.theta_steps,
-            },
+            "config": _config(args),
             "regime": _regime_dict(params),
             "analysis": {
                 "winding": {
                     "value": trace.winding,
                     "point_gap": trace.point_gap,
-                    "theta": [float(x) for x in trace.thetas],
-                    "det_log_abs": [float(x) for x in trace.det_log_abs],
-                    "det_phase": [float(x) for x in trace.det_phase],
+                    "theta": trace.thetas.tolist(),
+                    "det_log_abs": trace.det_log_abs.tolist(),
+                    "det_phase": trace.det_phase.tolist(),
                 }
             },
         }

@@ -180,6 +180,14 @@ class TestEnvelope:
         env = global_envelope([a, b])
         assert np.allclose(env, [1.0, 0.1, 0.1, 1.0])
 
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_global_envelope_does_not_depend_on_the_scale(self, exponent):
+        # the squares of the norms would underflow at 2^-600 and overflow at
+        # 2^600; a power-of-two scale keeps every digit
+        family = np.array([[1.0, 0.5], [0.5, 1.0], [0.25, 0.1]])
+        unit = global_envelope(family)
+        assert np.array_equal(global_envelope(family * math.ldexp(1.0, exponent)), unit)
+
 
 @st.composite
 def _profile_families(draw):
@@ -273,7 +281,46 @@ class TestLocalization:
         assert all(a < b for a, b in zip(centroids, centroids[1:]))
 
 
+def _phase_steps(params, base, steps):
+    """Phase steps of det(H(theta) - base) on a uniform flux grid, each
+    determinant from numpy's dense LU."""
+    from ramphop.model import build_flux_twisted
+
+    eye = np.eye(params.length)
+    signs = [
+        np.linalg.slogdet(build_flux_twisted(params, float(th)).to_dense() - base * eye)[0]
+        for th in np.linspace(0.0, 2.0 * math.pi, steps + 1)
+    ]
+    dphi = np.diff(np.angle(signs))
+    return (dphi + math.pi) % (2.0 * math.pi) - math.pi
+
+
 class TestWinding:
+    # base points near the levels of a small ring, where 64 flux steps turn
+    # the phase by more than pi/2 in one step
+    SMALL_RING = LatticeParams(t=1.0, gamma=0.1, length=8, boundary=Boundary.PBC)
+
+    @pytest.mark.parametrize(
+        ("base", "winding"),
+        [
+            (1.9717523426481123 + 0.005291150799733247j, 0),
+            (1.9657382117557085 + 0.005717641955583832j, 1),
+        ],
+    )
+    def test_a_phase_jump_refines_the_grid_once(self, base, winding):
+        assert np.max(np.abs(_phase_steps(self.SMALL_RING, base, 64))) >= math.pi / 2.0
+        trace = winding_trace(self.SMALL_RING, base, 64)
+        assert trace.theta_steps == 128
+        assert len(trace.thetas) == len(trace.det_phase) == 129
+        reference = _phase_steps(self.SMALL_RING, base, 4096)
+        assert np.max(np.abs(reference)) < 0.1
+        assert trace.winding == round(float(np.sum(reference)) / (2.0 * math.pi)) == winding
+
+    def test_a_phase_jump_that_survives_refinement_is_on_the_spectrum(self):
+        base = 1.9684089640203957 + 8.41470984810117e-05j
+        with pytest.raises(BasePointOnSpectrumError, match="phase jumps persist"):
+            winding_trace(self.SMALL_RING, base, 64)
+
     def test_constant_nonreciprocity_ring_winds_once(self):
         from ramphop.model import BandedHamiltonian, build_hatano_nelson
         from ramphop.eigen import det_shifted

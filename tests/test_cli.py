@@ -149,6 +149,11 @@ class TestSweepCommand:
         run(base + ["--workers", "3", "--out", tmp_path / "par"])
         assert (tmp_path / "ser_sweep.csv").read_bytes() == (tmp_path / "par_sweep.csv").read_bytes()
 
+    def test_empty_grid_is_an_argument_error(self, tmp_path, capsys):
+        assert run(["sweep", "--gamma-steps", "0", "--length", "10", "--out", tmp_path / "x"]) == 2
+        assert "at least one point" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_json_rows_match_csv(self, tmp_path):
         base = ["sweep", "--gamma-min", "0", "--gamma-max", "0.05", "--gamma-steps", "4",
                 "--length", "20", "--workers", "1"]
@@ -193,6 +198,29 @@ class TestStatesCommand:
         assert run(
             ["states", "--gamma", "0.01", "--length", "20", "--select", "bogus", "--out", tmp_path / "x"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (["--gamma", "0.01", "--length", "20", "--select", "nearest=1"], "bad selection"),
+            (["--gamma", "0.001", "--length", "100", "--select", "imag"], "matched no states"),
+        ],
+        ids=["nearest-without-imaginary-part", "no-imaginary-levels"],
+    )
+    def test_unusable_selection_exits_two(self, tmp_path, capsys, args, message):
+        assert run(["states", *args, "--out", tmp_path / "x"]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_narrow_envelope_has_no_fit(self, tmp_path):
+        # four sites leave the global envelope fewer than five support sites
+        out = tmp_path / "tiny"
+        assert run(
+            ["states", "--gamma", "0.3", "--length", "4", "--format", "json", "--out", out]
+        ) == 0
+        env = json.loads((tmp_path / "tiny.json").read_text())["analysis"]["envelopes"]
+        assert len(env["global"]) == 4
+        assert env["fit"] is None and env["fit_at_peak"] is None
 
     def test_json_document_carries_states_and_envelope(self, tmp_path):
         out = tmp_path / "doc"
@@ -248,6 +276,28 @@ class TestWindingCommand:
                 "--base-re", base, "--base-im", "0", "--out", tmp_path / "w3",
             ]
         ) == 4
+
+    # base points near the levels of the ring t = 1, gamma = 0.1, L = 8
+    SMALL_RING = ["winding", "--gamma", "0.1", "--length", "8", "--boundary", "pbc",
+                  "--theta-steps", "64"]
+
+    def test_refined_grid_is_recorded(self, tmp_path):
+        assert run(
+            [*self.SMALL_RING, "--base-re", "1.9657382117557085",
+             "--base-im", "0.005717641955583832", "--out", tmp_path / "w"]
+        ) == 0
+        lines = (tmp_path / "w_winding.csv").read_text().splitlines()
+        assert len(lines) == 1 + 129 + 1
+        assert lines[-1].startswith("# winding=1 point_gap=true")
+        assert lines[-1].endswith(" theta_steps=128")
+
+    def test_phase_jump_after_refinement_exit_code(self, tmp_path, capsys):
+        assert run(
+            [*self.SMALL_RING, "--base-re", "1.9684089640203957",
+             "--base-im", "8.41470984810117e-05", "--out", tmp_path / "w"]
+        ) == 4
+        assert "phase jumps persist" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_json_trace_matches_csv(self, tmp_path):
         base = ["winding", "--gamma", "0.001", "--length", "60", "--boundary", "pbc",
@@ -310,6 +360,49 @@ class TestFigureCommand:
         assert figure_files - {f"{panel}_params.json"} == {p.name for p in by_hand.iterdir()}
         for path in by_hand.iterdir():
             assert path.read_bytes() == (tmp_path / "fig" / path.name).read_bytes()
+
+
+def test_states_document_extends_the_spectrum_document(tmp_path):
+    # figure 3a in json writes its states document over the chain's spectrum
+    # document; the block overlay survives
+    assert run(["figure", "3a", "--format", "json", "--out", tmp_path / "fig"]) == 0
+    args = ["--gamma", "0.01", "--length", "100", "--format", "json"]
+    assert run(["spectrum", *args, "--out", tmp_path / "spec"]) == 0
+    spectrum = json.loads((tmp_path / "spec.json").read_text())
+    states = json.loads((tmp_path / "fig" / "3a_obc.json").read_text())
+    assert list(states) == ["config", "regime", "eigenvalues", "analysis", "blocks", "states"]
+    assert states["blocks"] == spectrum["blocks"]
+    assert spectrum["blocks"]["mismatch"] is False
+    for key in ("regime", "eigenvalues"):
+        assert states[key] == spectrum[key]
+    assert states["analysis"]["ladder"] == spectrum["analysis"]["ladder"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "keys"),
+    [
+        (["spectrum"], ["t", "gamma", "length", "boundary", "format"]),
+        (
+            ["sweep", "--gamma-steps", "1", "--workers", "1"],
+            ["t", "gamma", "length", "boundary", "format", "gamma_min", "gamma_max",
+             "gamma_steps"],
+        ),
+        (["states"], ["t", "gamma", "length", "boundary", "format", "select"]),
+        (
+            ["winding", "--boundary", "pbc", "--base-re", "0.3", "--theta-steps", "64"],
+            ["t", "gamma", "length", "boundary", "format", "base_re", "base_im",
+             "theta_steps"],
+        ),
+    ],
+    ids=["spectrum", "sweep", "states", "winding"],
+)
+def test_config_keys_and_their_order(tmp_path, argv, keys):
+    # output path and worker count do not describe the run
+    assert run([*argv, "--gamma", "0.01", "--length", "10", "--format", "json",
+                "--out", tmp_path / "x"]) == 0
+    config = json.loads((tmp_path / "x.json").read_text())["config"]
+    assert list(config) == keys
+    assert config["gamma"] == 0.01 and config["length"] == 10 and config["format"] == "json"
 
 
 def test_figure_solves_each_chain_once_per_call(tmp_path, monkeypatch):
