@@ -22,7 +22,7 @@ from .errors import (
     InsufficientLevelsError,
     RegimeMismatchError,
 )
-from .eigen import RESIDUAL_RTOL, Spectrum, det_shifted, eig_sym_tridiag, residual
+from .eigen import RESIDUAL_RTOL, Spectrum, det_shifted, eig_general, residual
 from .gauge import gauge_vector, hermitize, ungauge
 from .model import (
     Boundary,
@@ -386,21 +386,17 @@ def fit_envelope(
     )
 
 
-def global_envelope(states) -> np.ndarray:
-    """Pointwise maximum amplitude over a family of states, unit peak.
+def global_envelope(states: np.ndarray) -> np.ndarray:
+    """Pointwise maximum amplitude over a (sites, states) matrix, unit peak.
 
     Each state enters with unit 2-norm so the family shares one scale; the
     combined profile is then rescaled to maximum one.  Each column is first
     divided by a power of two near its largest amplitude, which is exact, so
     the squares in its norm neither underflow nor overflow.
     """
-    if isinstance(states, np.ndarray) and states.ndim == 2:
-        mat = states.astype(complex)
-    else:
-        seq = [np.asarray(s, dtype=complex) for s in states]
-        if not seq:
-            raise ValueError("need at least one state")
-        mat = np.column_stack(seq)
+    if not isinstance(states, np.ndarray) or states.ndim != 2:
+        raise TypeError("states must be a (sites, states) ndarray, one state per column")
+    mat = states.astype(complex)
     if mat.shape[1] == 0:
         raise ValueError("need at least one state")
     mat /= binary_scale(mat, axis=0)
@@ -533,10 +529,10 @@ def decoupling_check(params: LatticeParams) -> DecouplingReport:
     ga = gauge_vector(params)
     # the signs, not their product, which underflows at tiny t and gamma
     if (params.t > 0) == (params.gamma > 0):
-        spec = eig_sym_tridiag(dec.block_a, want_vectors=True)
+        spec = eig_general(dec.block_a, want_vectors=True)
         levels, pad, outside = spec.eigenvalues, (0, params.length - m), slice(m, None)
     else:
-        spec = eig_sym_tridiag(dec.block_b, want_vectors=True)
+        spec = eig_general(dec.block_b, want_vectors=True)
         levels, pad, outside = 1j * spec.eigenvalues, (m, 0), slice(None, m)
     residuals = np.zeros(spec.size)
     tails = np.zeros(spec.size)

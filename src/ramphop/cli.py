@@ -264,12 +264,6 @@ def cmd_states(args: argparse.Namespace) -> int:
         "env_rms": metrics.env_rms,
     }
     envelope = global_envelope(spec.eigenvectors)
-    peak_site = float(np.argmax(envelope) + 1)
-    try:
-        env_fit = fit_envelope(envelope, params.gamma)
-        env_fit_peak = fit_envelope(envelope, params.gamma, center=peak_site)
-    except DegenerateSupportError:
-        env_fit = env_fit_peak = None
     if args.format == "csv":
         rio.write_states_csv(
             Path(f"{args.out}_states.csv"), spec.eigenvalues[picked], profiles
@@ -277,6 +271,12 @@ def cmd_states(args: argparse.Namespace) -> int:
         rio.write_states_summary_csv(Path(f"{args.out}_summary.csv"), summary)
         rio.write_envelope_csv(Path(f"{args.out}_envelope.csv"), envelope)
     else:
+        peak_site = float(np.argmax(envelope) + 1)
+        try:
+            env_fit = fit_envelope(envelope, params.gamma)
+            env_fit_peak = fit_envelope(envelope, params.gamma, center=peak_site)
+        except DegenerateSupportError:
+            env_fit = env_fit_peak = None
         doc = _chain_document(args, params, spec, cs)
         doc["analysis"]["envelopes"] = {
             "global": envelope.tolist(),
@@ -368,9 +368,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, gamma: bool = True) -> None:
     p.add_argument("--t", type=float, default=1.0, help="uniform hopping amplitude")
-    p.add_argument("--gamma", type=float, default=0.0, help="ramp strength per site")
+    if gamma:
+        p.add_argument("--gamma", type=float, default=0.0, help="ramp strength per site")
     p.add_argument("--length", type=int, default=100, help="number of sites")
     p.add_argument(
         "--boundary", choices=["obc", "pbc"], default="obc", help="boundary condition"
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(runner=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="classified spectra over a gamma grid")
-    _add_common(p)
+    _add_common(p, gamma=False)
     p.add_argument("--gamma-min", type=float, default=0.0)
     p.add_argument("--gamma-max", type=float, default=1.2)
     p.add_argument("--gamma-steps", type=int, default=2)
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-re", type=float, default=0.0)
     p.add_argument("--base-im", type=float, default=0.0)
     p.add_argument("--theta-steps", type=int, default=256)
-    p.set_defaults(runner=cmd_winding)
+    p.set_defaults(boundary="pbc", runner=cmd_winding)
 
     p = sub.add_parser("figure", help="reproduce the data behind one figure panel")
     p.add_argument("figure_id", help="e.g. 1a, 2d, 3b, 5a")

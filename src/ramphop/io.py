@@ -24,7 +24,6 @@ Schemas (one row per scalar observation):
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -70,31 +69,26 @@ def _write_table(path: Path, columns: dict, footer: str | None = None) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-class RowTable(Sequence):
-    """The JSON form of a column table: a read-only sequence of one dict per
-    row, keys in column order.
+class RowTable:
+    """The JSON form of a column table: ``write_json`` renders it as the list
+    of one dict per row, keys in column order.
 
     A 2-D column gives each row the list of its row.  The columns are the
-    only storage: a row is built when it is read, and ``write_json`` renders
-    the table from its columns, one column at a time.
+    only storage, and ``write_json`` renders the table from them, one column
+    at a time.  A column is 1-D float, int or str, or 2-D float; any other
+    raises TypeError here, before a file is opened.
     """
 
     def __init__(self, columns: dict):
         self.columns = {name: np.asarray(col) for name, col in columns.items()}
+        for name, col in self.columns.items():
+            if (col.ndim, col.dtype.kind) not in {(1, "f"), (1, "i"), (1, "u"), (1, "U"), (2, "f")}:
+                raise TypeError(f"table column {name!r} is {col.ndim}-D of dtype {col.dtype}")
         if len({len(col) for col in self.columns.values()}) > 1:
             raise ValueError("table columns differ in length")
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()))) if self.columns else 0
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        return {name: col[i : i + 1].tolist()[0] for name, col in self.columns.items()}
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def _spectrum_columns(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> dict:
@@ -206,11 +200,10 @@ def _json_cells(col: np.ndarray, pad: str):
     """The JSON text of each row's cell of a table column, nested at line
     prefix ``pad``.
 
-    Floats, ints, bools and strings are spelled a column at a time.  A 2-D
-    float column gives each row a list, joined from its deduplicated text
-    only as the row is written, so that a table of state amplitudes never
-    holds all its rows as text at once.  Any other column goes through
-    json.dumps cell by cell.
+    Floats, ints and strings are spelled a column at a time.  A 2-D float
+    column gives each row a list, joined from its deduplicated text only as
+    the row is written, so that a table of state amplitudes never holds all
+    its rows as text at once.
     """
     kind = col.dtype.kind
     if col.ndim == 2 and kind == "f":
@@ -222,15 +215,10 @@ def _json_cells(col: np.ndarray, pad: str):
         sep, head, tail = ",\n" + item, "[\n" + item, "\n" + pad + "]"
         return (head + sep.join(row) + tail for row in text)
     values = col.tolist()
-    if col.ndim != 1 or kind not in "fiubU":
-        # json escapes every newline inside a string, so each one is a line break
-        return [json.dumps(value, indent=2).replace("\n", "\n" + pad) for value in values]
     if kind == "f":
         return list(map(float.__repr__ if np.isfinite(col).all() else _json_float, values))
     if kind in "iu":
         return list(map(int.__repr__, values))
-    if kind == "b":
-        return np.where(col, "true", "false").tolist()
     return list(map(_json_str, values))
 
 

@@ -171,14 +171,22 @@ class TestEnvelope:
 
     def test_global_envelope_single_state(self):
         state = np.array([0.2, 1.0, 0.4])
-        env = global_envelope([state])
+        env = global_envelope(np.column_stack([state]))
         assert np.allclose(env, [0.2, 1.0, 0.4])
 
     def test_global_envelope_is_pointwise_max(self):
         a = np.array([1.0, 0.1, 0.0, 0.0])
         b = np.array([0.0, 0.0, 0.1, 1.0])
-        env = global_envelope([a, b])
+        env = global_envelope(np.column_stack([a, b]))
         assert np.allclose(env, [1.0, 0.1, 0.1, 1.0])
+
+    def test_global_envelope_takes_only_a_sites_by_states_matrix(self):
+        # a list of states, or one state, is never read as a matrix: np.array([state])
+        # would be one 3-site row, whose envelope is [1.0]
+        state = np.array([0.2, 1.0, 0.4])
+        for family in ([state], state):
+            with pytest.raises(TypeError):
+                global_envelope(family)
 
     @pytest.mark.parametrize("exponent", [-600, 600])
     def test_global_envelope_does_not_depend_on_the_scale(self, exponent):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -253,10 +254,22 @@ class TestWindingCommand:
         assert len(lines) == 1 + 257 + 1
         assert lines[-1].startswith("# winding=1 point_gap=true")
 
-    def test_open_chain_is_invalid(self, tmp_path):
+    def test_open_chain_is_invalid(self, tmp_path, capsys):
         assert run(
-            ["winding", "--gamma", "0.001", "--length", "100", "--out", tmp_path / "w2"]
+            ["winding", "--gamma", "0.001", "--length", "100", "--boundary", "obc",
+             "--out", tmp_path / "w2"]
         ) == 2
+        assert "winding is defined for the ring" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_ring_is_the_default(self, tmp_path):
+        argv = ["winding", "--gamma", "0.011", "--length", "100", "--base-re", "0.3",
+                "--base-im", "0.1"]
+        assert run([*argv, "--out", tmp_path / "default"]) == 0
+        assert run([*argv, "--boundary", "pbc", "--out", tmp_path / "pbc"]) == 0
+        assert (tmp_path / "default_winding.csv").read_bytes() == (
+            tmp_path / "pbc_winding.csv"
+        ).read_bytes()
 
     def test_small_ring_winds_as_at_unit_scale(self, tmp_path):
         assert run(
@@ -381,15 +394,17 @@ def test_states_document_extends_the_spectrum_document(tmp_path):
 @pytest.mark.parametrize(
     ("argv", "keys"),
     [
-        (["spectrum"], ["t", "gamma", "length", "boundary", "format"]),
+        (["spectrum", "--gamma", "0.01"], ["t", "gamma", "length", "boundary", "format"]),
         (
             ["sweep", "--gamma-steps", "1", "--workers", "1"],
-            ["t", "gamma", "length", "boundary", "format", "gamma_min", "gamma_max",
-             "gamma_steps"],
+            ["t", "length", "boundary", "format", "gamma_min", "gamma_max", "gamma_steps"],
         ),
-        (["states"], ["t", "gamma", "length", "boundary", "format", "select"]),
         (
-            ["winding", "--boundary", "pbc", "--base-re", "0.3", "--theta-steps", "64"],
+            ["states", "--gamma", "0.01"],
+            ["t", "gamma", "length", "boundary", "format", "select"],
+        ),
+        (
+            ["winding", "--gamma", "0.01", "--base-re", "0.3", "--theta-steps", "64"],
             ["t", "gamma", "length", "boundary", "format", "base_re", "base_im",
              "theta_steps"],
         ),
@@ -398,11 +413,26 @@ def test_states_document_extends_the_spectrum_document(tmp_path):
 )
 def test_config_keys_and_their_order(tmp_path, argv, keys):
     # output path and worker count do not describe the run
-    assert run([*argv, "--gamma", "0.01", "--length", "10", "--format", "json",
-                "--out", tmp_path / "x"]) == 0
+    assert run([*argv, "--length", "10", "--format", "json", "--out", tmp_path / "x"]) == 0
     config = json.loads((tmp_path / "x.json").read_text())["config"]
     assert list(config) == keys
-    assert config["gamma"] == 0.01 and config["length"] == 10 and config["format"] == "json"
+    assert config["length"] == 10 and config["format"] == "json"
+    assert config.get("gamma", 0.01) == 0.01
+
+
+def test_sweep_takes_no_single_gamma(tmp_path, capsys):
+    # sweep scans its gamma grid; a lone --gamma is ambiguous with --gamma-min/-max/-steps
+    with pytest.raises(SystemExit) as exit_info:
+        run(["sweep", "--gamma", "0.01", "--gamma-steps", "1", "--out", tmp_path / "s"])
+    assert exit_info.value.code == 2
+    assert "ambiguous option: --gamma" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit) as exit_info:
+        run(["sweep", "--help"])
+    assert exit_info.value.code == 0
+    assert set(re.findall(r"--gamma[-\w]*", capsys.readouterr().out)) == {
+        "--gamma-min", "--gamma-max", "--gamma-steps"
+    }
 
 
 def test_figure_solves_each_chain_once_per_call(tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ nan, and of the JSON writer against ``json.dumps(indent=2)``."""
 
 import json
 import math
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -181,20 +180,30 @@ def test_json_rows_come_from_the_same_columns(tmp_path):
     rows = rio.RowTable(
         {"re": np.array([-0.0, NAN]), "class": np.array(["real", "failed"]), "n": np.array([1, -1])}
     )
-    assert isinstance(rows, Sequence) and len(rows) == 2
-    assert repr(rows) == (
-        "[{'re': -0.0, 'class': 'real', 'n': 1}, {'re': nan, 'class': 'failed', 'n': -1}]"
-    )
-    assert [type(v) for v in rows[0].values()] == [float, str, int]
-    assert repr(rows[-1]) == repr(rows[1:][0]) == repr(list(rows)[1])
-    with pytest.raises(IndexError):
-        rows[2]
-    # read-only: the rows are built from the columns, which the writer renders
-    assert not hasattr(rows, "append") and not hasattr(rows, "__setitem__")
-    # rendered from its columns, the table reads as its rows do
+    assert len(rows) == 2 and list(rows.columns) == ["re", "class", "n"]
+    # the columns are the only storage: the table has no rows to read
+    assert not hasattr(rows, "__getitem__") and not hasattr(rows, "__iter__")
+    # rendered from its columns, the table reads as the list of its rows
     path = tmp_path / "rows.json"
     rio.write_json(path, {"rows": rows})
-    assert path.read_text() == json.dumps({"rows": list(rows)}, indent=2) + "\n"
+    expected = [{"re": -0.0, "class": "real", "n": 1}, {"re": NAN, "class": "failed", "n": -1}]
+    assert path.read_text() == json.dumps({"rows": expected}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "column",
+    [np.array([True, False]), np.array([None, "a"], dtype=object), np.zeros((2, 1, 1))],
+    ids=["bool", "object", "3-D"],
+)
+def test_row_tables_take_only_the_column_kinds_they_render(tmp_path, column):
+    # no table the CLI writes holds these; they are refused before a file is opened
+    path = tmp_path / "doc.json"
+    rio.write_json(path, {"ok": [1.0]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        rio.write_json(path, {"rows": rio.RowTable({"re": np.arange(2.0), "bad": column})})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 def test_csv_columns_of_unequal_length_are_rejected(tmp_path):
@@ -255,28 +264,23 @@ def test_matrix_text_spells_each_float_as_repr(matrix):
 
 @st.composite
 def _row_tables(draw):
-    """Column tables of every kind a row table renders column-wise, plus an
-    object column that goes cell by cell."""
+    """Column tables of every kind a row table renders."""
     rows = draw(st.integers(0, 5))
     width = draw(st.integers(0, 4))
     floats = st.lists(_EDGE_FLOATS, min_size=rows, max_size=rows)
     kinds = {
-        "re": floats.map(np.array),
-        "n": st.lists(st.integers(-(2**62), 2**62), min_size=rows, max_size=rows).map(np.array),
-        "flag": st.lists(st.booleans(), min_size=rows, max_size=rows).map(np.array),
+        "re": floats.map(lambda xs: np.array(xs, dtype=float)),
+        "n": st.lists(st.integers(-(2**62), 2**62), min_size=rows, max_size=rows).map(
+            lambda xs: np.array(xs, dtype=np.int64)
+        ),
         "class": st.lists(st.text(), min_size=rows, max_size=rows).map(
             lambda xs: np.array(xs, dtype=str)
         ),
         "amplitudes": st.lists(
             st.lists(_EDGE_FLOATS, min_size=width, max_size=width), min_size=rows, max_size=rows
         ).map(lambda xs: np.array(xs, dtype=float).reshape(rows, width)),
-        "mixed": st.lists(
-            st.one_of(st.none(), st.floats(), st.text(), st.lists(st.integers(), max_size=2)),
-            min_size=rows,
-            max_size=rows,
-        ).map(lambda xs: np.array(xs + [None], dtype=object)[:-1]),
     }
-    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6, unique=True))
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=4, unique=True))
     return {name: draw(kinds[name]) for name in names}
 
 
@@ -287,7 +291,10 @@ def test_row_tables_render_as_json_dumps_of_their_rows(tmp_path, columns):
     document = {"rows": table, "nested": [{"rows": table}], "empty": rio.RowTable({"x": []})}
     path = tmp_path / "doc.json"
     rio.write_json(path, document)
-    expanded = {"rows": list(table), "nested": [{"rows": list(table)}], "empty": []}
+    # each row is a dict of its cells, a 2-D column's cell the list of its row
+    length = len(next(iter(columns.values())))
+    rows = [{name: col[i].tolist() for name, col in columns.items()} for i in range(length)]
+    expanded = {"rows": rows, "nested": [{"rows": rows}], "empty": []}
     assert path.read_text() == json.dumps(expanded, indent=2) + "\n"
 
 
