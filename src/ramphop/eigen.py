@@ -299,7 +299,9 @@ def det_shifted(h, z: complex) -> ScaledDeterminant:
     inputs meet its bounds; the determinant of n sites takes n times that
     exponent back.  A ring of n sites adds -c_u c_d times the continuant of
     the n - 2 inner sites and (-1)^(n+1) (c_u prod u + c_d prod l), the
-    four terms summed at the largest of their exponents.
+    four terms brought to the largest of their exponents and summed with
+    ``math.fsum`` on the real and imaginary parts, so that the sum, which
+    cancels near a level of the ring, rounds once.
     """
     if not isinstance(h, BandedHamiltonian):
         raise TypeError("det_shifted expects a banded matrix")
@@ -323,7 +325,8 @@ def det_shifted(h, z: complex) -> ScaledDeterminant:
             (mantissa, exponent), (-cu * cd * q, e_q), (sgn * cu * m_u, e_u), (sgn * cd * m_d, e_d)
         ]
         exponent = max((e for m, e in terms if m), default=0)
-        mantissa = sum(m * np.ldexp(1.0, e - exponent) for m, e in terms if m)
+        scaled = [m * np.ldexp(1.0, e - exponent) for m, e in terms if m]
+        mantissa = complex(math.fsum(c.real for c in scaled), math.fsum(c.imag for c in scaled))
     exponent = int(exponent) + n * (math.frexp(unit)[1] - 1)
     return ScaledDeterminant(complex(mantissa), exponent)
 

@@ -231,17 +231,15 @@ def _smul(a: tuple[complex, int], b: tuple[complex, int]) -> tuple[complex, int]
     return _snorm(a[0] * b[0], a[1] + b[1])
 
 
-def _sadd(a: tuple[complex, int], b: tuple[complex, int]) -> tuple[complex, int]:
-    if a[0] == 0:
-        return b
-    if b[0] == 0:
-        return a
-    if a[1] < b[1]:
-        a, b = b, a
-    shift = b[1] - a[1]
-    if shift < -2000:
-        return a
-    return _snorm(a[0] + _ldexp_c(b[0], shift), a[1])
+def _sfsum(terms) -> tuple[complex, int]:
+    """Sum of (mantissa, exponent) terms, rounded once: each is brought to
+    the largest exponent and the real and imaginary parts go to ``math.fsum``."""
+    terms = [(m, e) for m, e in terms if m != 0]
+    if not terms:
+        return 0.0 + 0.0j, 0
+    top = max(e for _, e in terms)
+    scaled = [_ldexp_c(m, e - top) for m, e in terms]
+    return _snorm(complex(math.fsum(c.real for c in scaled), math.fsum(c.imag for c in scaled)), top)
 
 
 def scaled_product(values) -> tuple[complex, int]:
@@ -278,8 +276,8 @@ def _scaled_continuant(upper, lower, z) -> tuple[complex, int]:
 
 def scaled_det(h, z: complex) -> tuple[complex, int]:
     """det(H - zI) of a ``BandedHamiltonian`` as (mantissa, exponent): the
-    continuant plus the ring-closure terms, on the amplitudes as given, so
-    it underflows where they do."""
+    continuant plus the ring-closure terms, summed with one rounding, on
+    the amplitudes as given, so it underflows where they do."""
     p = _scaled_continuant(h.upper, h.lower, z)
     if not h.is_pbc:
         return p
@@ -289,10 +287,15 @@ def scaled_det(h, z: complex) -> tuple[complex, int]:
     cu = (complex(corner_up), 0)
     cd = (complex(corner_down), 0)
     sgn = 1.0 if n % 2 == 1 else -1.0
-    cyc_u = _smul(cu, scaled_product(h.upper))
-    cyc_d = _smul(cd, scaled_product(h.lower))
-    cyc = _smul((sgn + 0.0j, 0), _sadd(cyc_u, cyc_d))
-    return _sadd(p, _sadd(_smul((-1.0 + 0.0j, 0), _smul(_smul(cu, cd), q)), cyc))
+    sign = (sgn + 0.0j, 0)
+    return _sfsum(
+        [
+            p,
+            _smul((-1.0 + 0.0j, 0), _smul(_smul(cu, cd), q)),
+            _smul(sign, _smul(cu, scaled_product(h.upper))),
+            _smul(sign, _smul(cd, scaled_product(h.lower))),
+        ]
+    )
 
 
 def bisected_level(upper, lower, lo: float, hi: float, imaginary: bool = False) -> float:
