@@ -8,7 +8,8 @@ over gamma without touching the output order.  ``figure ID`` parses and runs
 the ``spectrum``/``states``/``sweep`` command lines its panel recipe lists,
 with the same parser and runners as a user's own command line; a chain that
 two of those lines need is solved once for the panel.  In JSON, a ``states``
-document is the ``spectrum`` document of its chain plus its own sections.
+document is the ``spectrum`` document of its chain plus its own sections, so
+``figure`` skips a ``spectrum`` line whose file a ``states`` line rewrites.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def _chain_document(args: argparse.Namespace, params: LatticeParams, spec, cs) -
     doc = {
         "config": _config(args),
         "regime": _regime_dict(params),
-        "eigenvalues": rio.spectrum_json_entries(cs, spec.residuals),
+        "eigenvalues": rio.RowTable(rio.spectrum_columns(cs, spec.residuals)),
         "analysis": {"ladder": _ladder_json(cs)},
     }
     if params.boundary is Boundary.OBC:
@@ -323,7 +324,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     t = recipe.get("t", 1.0)
     length = recipe["length"]
     shared = [f"--t={t!r}", f"--length={length}", f"--format={args.format}"]
-    runs: dict[str, list[str]] = {}  # description -> command line
+    # description -> command line, or None for a line whose file a later line rewrites
+    runs: dict[str, list[str] | None] = {}
     if "sweep" in recipe:
         lo, hi, steps = recipe["sweep"]
         runs[f"sweep gamma in [{lo}, {hi}] with {steps} points"] = [
@@ -346,10 +348,11 @@ def cmd_figure(args: argparse.Namespace) -> int:
         if command == "states":
             argv.append(f"--select={value}")
             description += f" ({value})"
+            if args.format == "json" and f"{boundary} spectrum" in runs:
+                runs[f"{boundary} spectrum"] = None  # its document is part of this one
         runs[description] = argv
-    args.out.mkdir(parents=True, exist_ok=True)
     spectra: dict = {}  # LatticeParams -> Spectrum, for this panel only
-    for argv in runs.values():
+    for argv in filter(None, runs.values()):
         sub_args = build_parser().parse_args(argv)
         sub_args.spectra = spectra
         sub_args.runner(sub_args)

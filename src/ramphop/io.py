@@ -3,7 +3,8 @@
 Floats are rendered with ``repr``, the shortest representation that
 round-trips exactly, so identical runs produce byte-identical files and the
 CSV/JSON encodings agree to full precision.  Every CSV file goes through one
-column-table writer.  Every JSON file is byte for byte
+column-table writer, which joins and writes its rows a block at a time, so
+that no table is held whole as text.  Every JSON file is byte for byte
 ``json.dumps(document, indent=2)`` plus a newline, with each ``RowTable``
 standing for the list of its rows.  json's own encoder writes it, streamed
 to disk, and hands each ``RowTable`` to a renderer that spells it from its
@@ -23,6 +24,7 @@ Schemas (one row per scalar observation):
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -60,13 +62,19 @@ def _matrix_text(values, spell=float.__repr__) -> np.ndarray:
 
 
 def _write_table(path: Path, columns: dict, footer: str | None = None) -> None:
-    """Write equal-length columns as CSV, headed by their names."""
+    """Write equal-length columns as CSV, headed by their names and followed
+    by ``footer``; the rows are joined and written 4096 at a time."""
     cells = [_text(col) for col in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
-    if footer is not None:
-        lines.append(footer)
+    if len({len(col) for col in cells}) > 1:
+        raise ValueError("table columns differ in length")
+    rows = map(",".join, zip(*cells))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(",".join(columns) + "\n")
+        while block := list(itertools.islice(rows, 4096)):
+            f.write("\n".join(block) + "\n")
+        if footer is not None:
+            f.write(footer + "\n")
 
 
 class RowTable:
@@ -91,8 +99,9 @@ class RowTable:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
 
-def _spectrum_columns(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> dict:
-    """Each level in eigenvalue order with its class and residual."""
+def spectrum_columns(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> dict:
+    """Each level in eigenvalue order with its class and residual: the
+    spectrum table without its index."""
     return {
         "re": cs.eigenvalues.real,
         "im": cs.eigenvalues.imag,
@@ -103,7 +112,7 @@ def _spectrum_columns(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> d
 
 def write_spectrum_csv(path: Path, cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> None:
     index = np.arange(len(cs.eigenvalues))
-    _write_table(path, {"index": index, **_spectrum_columns(cs, residuals)})
+    _write_table(path, {"index": index, **spectrum_columns(cs, residuals)})
 
 
 def write_blocks_csv(
@@ -165,11 +174,6 @@ def write_winding_csv(path: Path, trace: WindingTrace, base: complex) -> None:
     )
 
 
-def spectrum_json_entries(cs: ClassifiedSpectrum, residuals: np.ndarray | None) -> RowTable:
-    """The spectrum table's rows without their index."""
-    return RowTable(_spectrum_columns(cs, residuals))
-
-
 def envelope_fit_json(fit: EnvelopeFit) -> dict:
     return {
         "amplitude": fit.amplitude,
@@ -182,44 +186,31 @@ def envelope_fit_json(fit: EnvelopeFit) -> dict:
 
 
 _json_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
-_INF = json.encoder.INFINITY
-
-
-def _json_float(value: float) -> str:
-    """A float as json.dumps spells it: ``repr``, or NaN, Infinity, -Infinity."""
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
 
 
 def _json_cells(col: np.ndarray, pad: str):
     """The JSON text of each row's cell of a table column, nested at line
     prefix ``pad``.
 
-    Floats, ints and strings are spelled a column at a time.  A 2-D float
+    Floats, ints and strings are spelled a column at a time; a float column
+    that holds NaN or an infinity is spelled by json.dumps.  A 2-D float
     column gives each row a list, joined from its deduplicated text only as
     the row is written, so that a table of state amplitudes never holds all
     its rows as text at once.
     """
     kind = col.dtype.kind
-    if col.ndim == 2 and kind == "f":
+    if kind == "f":
+        spell = float.__repr__ if np.isfinite(col).all() else json.dumps
+        if col.ndim == 1:
+            return list(map(spell, col.tolist()))
         if col.shape[1] == 0:
             return ["[]"] * len(col)
         item = pad + "  "
-        spell = float.__repr__ if np.isfinite(col).all() else _json_float
-        text = _matrix_text(col, spell)
         sep, head, tail = ",\n" + item, "[\n" + item, "\n" + pad + "]"
-        return (head + sep.join(row) + tail for row in text)
-    values = col.tolist()
-    if kind == "f":
-        return list(map(float.__repr__ if np.isfinite(col).all() else _json_float, values))
+        return (head + sep.join(row) + tail for row in _matrix_text(col, spell))
     if kind in "iu":
-        return list(map(int.__repr__, values))
-    return list(map(_json_str, values))
+        return list(map(int.__repr__, col.tolist()))
+    return list(map(_json_str, col.tolist()))
 
 
 def _row_table(table: RowTable, pad: str, emit) -> None:

@@ -10,7 +10,7 @@ gauge, which is what the regime classification below encodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -217,15 +217,8 @@ def build_flux_twisted(params: LatticeParams, theta: float) -> BandedHamiltonian
     """Ring Hamiltonian with flux theta threaded through the closure bond."""
     if params.boundary is not Boundary.PBC:
         raise ValueError("flux insertion requires periodic boundary conditions")
-    base = build_hamiltonian(params)
-    return BandedHamiltonian(
-        length=base.length,
-        upper=base.upper,
-        lower=base.lower,
-        corner_up=base.corner_up,
-        corner_down=base.corner_down,
-        boundary_phase=complex(math.cos(theta), math.sin(theta)),
-    )
+    phase = complex(math.cos(theta), math.sin(theta))
+    return replace(build_hamiltonian(params), boundary_phase=phase)
 
 
 def build_hatano_nelson(

@@ -391,6 +391,26 @@ def test_states_document_extends_the_spectrum_document(tmp_path):
     assert states["analysis"]["ladder"] == spectrum["analysis"]["ladder"]
 
 
+def test_figure_writes_each_json_file_once(tmp_path, monkeypatch):
+    import ramphop.io as rio
+
+    real_write = rio.write_json
+    written = []
+
+    def counting(path, document):
+        written.append(path.name)
+        real_write(path, document)
+
+    monkeypatch.setattr(rio, "write_json", counting)
+    assert run(["figure", "3a", "--format", "json", "--out", tmp_path / "fig"]) == 0
+    # the chain's states document holds its spectrum document, so the spectrum
+    # line is not run to write 3a_obc.json first; the params file still lists it
+    assert sorted(written) == ["3a_obc.json", "3a_params.json", "3a_pbc.json"]
+    assert sorted(p.name for p in (tmp_path / "fig").iterdir()) == sorted(written)
+    params = json.loads((tmp_path / "fig" / "3a_params.json").read_text())
+    assert params["commands"] == ["obc spectrum", "pbc spectrum", "obc states (all)"]
+
+
 @pytest.mark.parametrize(
     ("argv", "keys"),
     [

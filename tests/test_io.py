@@ -206,6 +206,17 @@ def test_row_tables_take_only_the_column_kinds_they_render(tmp_path, column):
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
+@pytest.mark.parametrize("rows", [4095, 4096, 4097, 2 * 4096 + 1])
+def test_csv_tables_are_written_whole_across_row_blocks(tmp_path, rows):
+    # the rows go out 4096 at a time: every block boundary and the footer
+    # leave the file as one join of all its lines
+    values = np.arange(rows) / 7
+    lines = ["i,x", *(f"{i},{x!r}" for i, x in enumerate(values.tolist())), "# end"]
+    path = tmp_path / "t.csv"
+    rio._write_table(path, {"i": np.arange(rows), "x": values}, footer="# end")
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_csv_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         rio.write_sweep_csv(tmp_path / "t.csv", {"a": np.arange(2), "b": np.arange(3)})
@@ -258,7 +269,7 @@ def test_matrix_text_spells_each_float_as_repr(matrix):
     text = rio._matrix_text(matrix)
     assert text.shape == matrix.shape
     assert text.ravel().tolist() == list(map(repr, matrix.ravel().tolist()))
-    json_text = rio._matrix_text(matrix, rio._json_float)
+    json_text = rio._matrix_text(matrix, json.dumps)
     assert json_text.ravel().tolist() == [json.dumps(x) for x in matrix.ravel().tolist()]
 
 
