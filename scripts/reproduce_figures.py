@@ -23,15 +23,11 @@ def main() -> int:
         help="panel ids to run (default: all)",
     )
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     for panel in args.panels:
         t0 = time.time()
-        argv = ["figure", panel, "--out", str(args.out / panel), "--format", args.format]
-        if args.workers:
-            argv += ["--workers", str(args.workers)]
-        rc = cli_main(argv)
+        rc = cli_main(["figure", panel, "--out", str(args.out / panel), "--format", args.format])
         if rc != 0:
             print(f"{panel}: FAILED (exit {rc})", file=sys.stderr)
             return rc

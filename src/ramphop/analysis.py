@@ -11,7 +11,7 @@ block-decoupling certificate for integer |t/gamma|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -29,7 +29,6 @@ from .model import (
     LatticeParams,
     RegimeKind,
     binary_scale,
-    build_flux_twisted,
     build_hamiltonian,
     classify_regime,
 )
@@ -247,21 +246,27 @@ def state_metrics(states: np.ndarray, center: float | None = None) -> StateMetri
     width is refit with the center held fixed.  Passing ``center`` fits every
     width at that fixed center.  A zero column raises
     ``DegenerateSupportError``.
+
+    The work runs on a (states, sites) copy, one state per contiguous row,
+    and every sum over sites is numpy's sum along that row: it adds in an
+    order fixed by the row alone, so each state's fields are the same bits
+    whichever states share its batch.
     """
-    amp = np.abs(np.asarray(states, dtype=complex))
-    if amp.ndim != 2 or amp.shape[0] == 0:
-        raise ValueError(f"need a (sites, states) matrix, got shape {amp.shape}")
-    peak = amp.max(axis=0)
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[0] == 0:
+        raise ValueError(f"need a (sites, states) matrix, got shape {states.shape}")
+    amp = np.abs(states.T, order="C")
+    peak = amp.max(axis=1)
     if np.any(peak == 0.0):
         raise DegenerateSupportError(f"state {int(np.argmin(peak))} is a zero profile")
-    sites = np.arange(1, amp.shape[0] + 1, dtype=float)
+    sites = np.arange(1, amp.shape[1] + 1, dtype=float)
     # squares of the unscaled amplitudes, so that ties fall as on |v|^2 itself
-    argmax_site = np.argmax(amp * amp, axis=0) + 1
-    peak_site = sites[amp.argmax(axis=0)]
-    mask = amp > SUPPORT_THRESHOLD * peak
-    ratio = np.divide(amp, peak, out=amp)  # amp is not needed past here
+    argmax_site = np.argmax(amp * amp, axis=1) + 1
+    peak_site = sites[amp.argmax(axis=1)]
+    mask = amp > SUPPORT_THRESHOLD * peak[:, None]
+    ratio = np.divide(amp, peak[:, None], out=amp)  # amp is not needed past here
     centroid, ipr = _moments(ratio, sites)
-    env_center, env_unconstrained, env_width, env_rms = _fit_columns(
+    env_center, env_unconstrained, env_width, env_rms = _fit_rows(
         ratio, mask, sites, peak_site, center
     )
     return StateMetrics(
@@ -269,8 +274,8 @@ def state_metrics(states: np.ndarray, center: float | None = None) -> StateMetri
         ipr=ipr,
         argmax_site=argmax_site,
         amplitude=peak,
-        profiles=ratio,
-        support=mask,
+        profiles=ratio.T,
+        support=mask.T,
         env_center=env_center,
         env_center_unconstrained=env_unconstrained,
         env_width=env_width,
@@ -278,71 +283,70 @@ def state_metrics(states: np.ndarray, center: float | None = None) -> StateMetri
     )
 
 
-def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum over sites of a * b, one entry per column."""
-    return np.einsum("ij,ij->j", a, b)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over sites of a * b, one entry per row."""
+    return (a * b).sum(axis=1)
 
 
 def _moments(ratio: np.ndarray, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centroid and inverse participation ratio of the weights ratio^2."""
     w = ratio * ratio
-    total = w.sum(axis=0)
-    return (sites @ w) / total, _column_dot(w, w) / (total * total)
+    total = w.sum(axis=1)
+    return _row_dot(w, sites) / total, _row_dot(w, w) / (total * total)
 
 
-def _fit_columns(
+def _fit_rows(
     ratio: np.ndarray,
     mask: np.ndarray,
     sites: np.ndarray,
     peak_site: np.ndarray,
     center: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(center, unconstrained center, width, rms) of each column of a peak-one
+    """(center, unconstrained center, width, rms) of each row of a peak-one
     profile over its support ``mask``; nan where that has fewer than 5 sites."""
-    count = mask.sum(axis=0)
+    count = mask.sum(axis=1)
     few = count < 5
-    x = sites[:, None]
     y = np.log(ratio, out=np.zeros_like(ratio), where=mask)
     if center is None:
-        xm = (sites @ mask) / count
-        c2, c1 = _quadratic_fit(x - xm, y, mask, count, few)
+        xm = _row_dot(mask, sites) / count
+        c2, c1 = _quadratic_fit(sites - xm[:, None], y, mask, count, few)
         opens_down = c2 < 0.0
         shift = np.divide(c1, 2.0 * c2, out=np.zeros_like(c1), where=opens_down)
         unconstrained = np.where(opens_down, xm - shift, peak_site)
         fitted = np.clip(unconstrained, 1.0, sites[-1])
         refit = (fitted != unconstrained) | ~opens_down
-        width = np.where(refit, _refit_widths(x, y, mask, count, fitted), -c2)
+        width = np.where(refit, _refit_widths(sites, y, mask, count, fitted), -c2)
     else:
         unconstrained = fitted = np.full(len(count), float(center))
-        width = _refit_widths(x, y, mask, count, fitted)
+        width = _refit_widths(sites, y, mask, count, fitted)
     # the misfit of the Gaussian, formed in one buffer
-    misfit = x - fitted
+    misfit = sites - fitted[:, None]
     misfit *= misfit
-    misfit *= -width
+    misfit *= -width[:, None]
     misfit *= mask
     np.exp(misfit, out=misfit)
     np.subtract(ratio, misfit, out=misfit)
     misfit *= mask
-    rms = np.sqrt(_column_dot(misfit, misfit) / count)
+    rms = np.sqrt(_row_dot(misfit, misfit) / count)
     return tuple(np.where(few, np.nan, field) for field in (fitted, unconstrained, width, rms))
 
 
 def _quadratic_fit(
     u: np.ndarray, y: np.ndarray, mask: np.ndarray, count: np.ndarray, few: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(c2, c1) of the least-squares c2 u^2 + c1 u + c0 to each column of y
+    """(c2, c1) of the least-squares c2 u^2 + c1 u + c0 to each row of y
     over its support, from one batch of 3x3 normal equations; ``u`` is
     overwritten."""
     u *= mask
     u2 = u * u
-    s1, s2 = u.sum(axis=0), u2.sum(axis=0)
-    s3, s4 = _column_dot(u2, u), _column_dot(u2, u2)
+    s1, s2 = u.sum(axis=1), u2.sum(axis=1)
+    s3, s4 = _row_dot(u2, u), _row_dot(u2, u2)
     normal = np.stack(
         [np.stack(row, axis=-1) for row in ((s4, s3, s2), (s3, s2, s1), (s2, s1, count))],
         axis=-2,
     )
     normal[few] = np.eye(3)  # may be singular there, and is not reported
-    rhs = np.stack([_column_dot(u2, y), _column_dot(u, y), y.sum(axis=0)], axis=-1)
+    rhs = np.stack([_row_dot(u2, y), _row_dot(u, y), y.sum(axis=1)], axis=-1)
     coef = np.linalg.solve(normal, rhs[..., None])[..., 0]
     return coef[:, 0], coef[:, 1]
 
@@ -350,15 +354,15 @@ def _quadratic_fit(
 def _refit_widths(
     x: np.ndarray, y: np.ndarray, mask: np.ndarray, count: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
-    """Least squares of each column's y against -w (x-center)^2 + const over
+    """Least squares of each row's y against -w (x-center)^2 + const over
     its support; 0 where (x-center)^2 is constant there."""
-    qm = x - center
+    qm = x - center[:, None]
     qm *= qm
     qm *= mask
-    qm -= qm.sum(axis=0) / count
+    qm -= (qm.sum(axis=1) / count)[:, None]
     qm *= mask
-    denom = _column_dot(qm, qm)
-    slope = _column_dot(qm, y - y.sum(axis=0) / count)
+    denom = _row_dot(qm, qm)
+    slope = _row_dot(qm, y - (y.sum(axis=1) / count)[:, None])
     return np.divide(-slope, denom, out=np.zeros_like(denom), where=denom != 0.0)
 
 
@@ -442,7 +446,9 @@ def winding_trace(
 ) -> WindingTrace:
     """Phase winding of det(H(theta) - base) around one flux quantum.
 
-    The grid is refined once if any step turns the phase by more than pi/2;
+    The ring is built once, and each flux step swaps only its boundary
+    phase before ``det_shifted`` evaluates the scaled-continuant pair.  The
+    grid is refined once if any step turns the phase by more than pi/2;
     jumps that survive refinement, like a vanishing determinant, mean the
     base point is on (or hugging) the spectrum.  The determinant vanishes
     when its geometric mean |det|^(1/L) falls below 1e-9 times the larger
@@ -461,8 +467,10 @@ def winding_trace(
         thetas = np.linspace(0.0, 2.0 * math.pi, steps + 1)
         log_abs = np.empty(steps + 1)
         phase = np.empty(steps + 1)
-        for i, th in enumerate(thetas):
-            det = det_shifted(build_flux_twisted(params, float(th)), base)
+        for i, th in enumerate(thetas.tolist()):
+            # the ring of build_flux_twisted(params, th), its bonds built once
+            ring = replace(h0, boundary_phase=complex(math.cos(th), math.sin(th)))
+            det = det_shifted(ring, base)
             log_abs[i] = det.log_abs
             phase[i] = math.atan2(det.phase.imag, det.phase.real)
         mean_dist = np.exp(log_abs / params.length)  # geometric mean |E_n - base|

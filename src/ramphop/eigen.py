@@ -14,6 +14,9 @@ go to LAPACK on the whole matrix.  One continuant kernel, a loop over
 sites on a single point or on an array of points with a power-of-two
 exponent carried beside it, gives the shifted determinants, ring-closure
 terms included, and the Newton polish of an open chain's levels near zero.
+Each flux step of a winding trace evaluates the scaled-continuant pair, the
+ring's and its inner sites', on one ring built once; the closed form in the
+flux phase waits on ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -223,11 +226,11 @@ def eig_sym_tridiag(block: BandedHamiltonian, want_vectors: bool = False) -> Spe
 def _sprod(values: np.ndarray) -> tuple[complex, int]:
     """Product of real factors as (mantissa, exponent); any zero gives (0, 0)."""
     mantissas, exponents = np.frexp(values)
-    if not np.all(mantissas):
+    if not mantissas.all():
         return 0.0 + 0.0j, 0
-    m, e = 1.0, int(np.sum(exponents, dtype=np.int64))
+    m, e = 1.0, int(exponents.sum(dtype=np.int64))
     for i in range(0, len(mantissas), _MANTISSA_CHUNK):
-        m, k = math.frexp(m * float(np.prod(mantissas[i : i + _MANTISSA_CHUNK])))
+        m, k = math.frexp(m * float(mantissas[i : i + _MANTISSA_CHUNK].prod()))
         e += k
     return complex(m), e
 
@@ -245,14 +248,19 @@ def _continuant(w, z, derivative=False):
     carried values are multiplied by the power of two that brings the sum
     of their moduli into [0.5, 1), which is exact.  The sum takes in dp,
     which near a root can outgrow p, and the smallest normal float, which
-    keeps the factor finite when all the values are 0 or subnormal.  For a
-    number that factor is an ``np.float64``, a ``float``, so p stays a
-    Python complex.
+    keeps the factor finite when all the values are 0 or subnormal.  On a
+    number that power comes from ``math.frexp`` and ``math.ldexp``, so p
+    stays a Python complex and the exponent a Python int, and the run costs
+    no more than its Python arithmetic; on an array it comes from
+    ``np.frexp`` and ``np.ldexp`` and the exponent is an array.  The two
+    rescale alike, so on real points they give the same bits; numpy rounds
+    complex products differently from Python.
     """
+    frexp, ldexp = (np.frexp, np.ldexp) if isinstance(z, np.ndarray) else (math.frexp, math.ldexp)
     a = 0.0 - z
     p_prev, p = 1.0, a
     dp_prev, dp = 0.0, (-1.0 if derivative else 0.0)
-    exponent = np.int64(0)
+    exponent = 0
     for start in range(0, len(w), _RESCALE_SITES):
         if derivative:
             for wk in w[start : start + _RESCALE_SITES]:
@@ -260,8 +268,8 @@ def _continuant(w, z, derivative=False):
         else:
             for wk in w[start : start + _RESCALE_SITES]:
                 p_prev, p = p, a * p - wk * p_prev
-        e = np.frexp(abs(p) + abs(p_prev) + abs(dp) + abs(dp_prev) + _TINY)[1]
-        scale = np.ldexp(1.0, -e)
+        e = frexp(abs(p) + abs(p_prev) + abs(dp) + abs(dp_prev) + _TINY)[1]
+        scale = ldexp(1.0, -e)
         p, p_prev, dp, dp_prev = p * scale, p_prev * scale, dp * scale, dp_prev * scale
         exponent = exponent + e
     return p, dp, exponent
@@ -291,6 +299,20 @@ class ScaledDeterminant:
         return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
 
 
+def _det_unit(h: BandedHamiltonian, corners: tuple[complex, complex], z: complex) -> float:
+    """``binary_scale`` of the bonds, the corners and z, without joining them
+    into one array.
+
+    The |.| of the corners and z is formed by numpy, as on the joined array:
+    numpy's complex |.| can differ from abs() in the last bit, and where it
+    falls just below a power of two, as |2 e^{4i}| does, that bit changes
+    the unit.  A real bond's |.| is exact either way.
+    """
+    bonds = [np.abs(h.upper).max(initial=0.0), np.abs(h.lower).max(initial=0.0)]
+    top = np.abs(bonds + [*corners, z]).max()
+    return math.ldexp(1.0, min(max(math.frexp(top)[1], -1020), 1020))
+
+
 def det_shifted(h, z: complex) -> ScaledDeterminant:
     """det(H - zI) from the continuant, plus the ring-closure terms of a ring.
 
@@ -302,6 +324,11 @@ def det_shifted(h, z: complex) -> ScaledDeterminant:
     four terms brought to the largest of their exponents and summed with
     ``math.fsum`` on the real and imaginary parts, so that the sum, which
     cancels near a level of the ring, rounds once.
+
+    A winding trace calls this once per flux step on one ring whose
+    boundary phase alone changes, so each step costs the scaled-continuant
+    pair; the closed form in the flux phase, A + B e^{i theta} +
+    C e^{-i theta}, waits on ROADMAP item 3.
     """
     if not isinstance(h, BandedHamiltonian):
         raise TypeError("det_shifted expects a banded matrix")
@@ -310,7 +337,7 @@ def det_shifted(h, z: complex) -> ScaledDeterminant:
         raise ValueError("corner-corrected determinant requires dimension >= 3")
     z = complex(z)
     corner_up, corner_down = h.effective_corners()
-    unit = binary_scale(np.concatenate((h.upper, h.lower, [corner_up, corner_down, z])))
+    unit = _det_unit(h, (corner_up, corner_down), z)
     upper, lower = h.upper / unit, h.lower / unit
     w = (upper * lower).tolist()
     shift = z / unit
@@ -325,10 +352,10 @@ def det_shifted(h, z: complex) -> ScaledDeterminant:
             (mantissa, exponent), (-cu * cd * q, e_q), (sgn * cu * m_u, e_u), (sgn * cd * m_d, e_d)
         ]
         exponent = max((e for m, e in terms if m), default=0)
-        scaled = [m * np.ldexp(1.0, e - exponent) for m, e in terms if m]
+        scaled = [m * math.ldexp(1.0, e - exponent) for m, e in terms if m]
         mantissa = complex(math.fsum(c.real for c in scaled), math.fsum(c.imag for c in scaled))
-    exponent = int(exponent) + n * (math.frexp(unit)[1] - 1)
-    return ScaledDeterminant(complex(mantissa), exponent)
+    exponent += n * (math.frexp(unit)[1] - 1)
+    return ScaledDeterminant(mantissa, exponent)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ from ramphop import (
     InsufficientLevelsError,
     LatticeParams,
     RegimeMismatchError,
+    build_flux_twisted,
     classify,
     decoupling_check,
+    det_shifted,
     fit_envelope,
     global_envelope,
     level_spacings,
@@ -257,6 +259,39 @@ def test_state_metrics_match_the_per_state_fits(family):
         _assert_close(env, (fit.center, fit.center_unconstrained, fit.width_param, fit.rms_error))
 
 
+_PER_STATE_FIELDS = (
+    "centroid", "ipr", "argmax_site", "amplitude",
+    "env_center", "env_center_unconstrained", "env_width", "env_rms",
+)
+
+
+def _assert_state_alone_is_its_batch_row(states, center=None):
+    """Every field of each state is the same bits solved alone as in the batch."""
+    batch = state_metrics(states, center)
+    for j in range(states.shape[1]):
+        alone = state_metrics(states[:, [j]], center)
+        for name in _PER_STATE_FIELDS:
+            assert getattr(batch, name)[j:j + 1].tobytes() == getattr(alone, name).tobytes(), name
+        assert batch.profiles[:, j].tobytes() == alone.profiles[:, 0].tobytes()
+        assert np.array_equal(batch.support[:, j], alone.support[:, 0])
+
+
+@given(_profile_families())
+@settings(max_examples=200, deadline=None)
+def test_a_states_metrics_do_not_depend_on_its_batch(family):
+    states, center = family
+    states = states[:, np.abs(states).max(axis=0) > 0.0]
+    if states.shape[1]:
+        _assert_state_alone_is_its_batch_row(states, center)
+
+
+def test_chain_states_alone_and_in_their_batch_agree():
+    # most of these centroids moved with the batch when the per-state sums
+    # ran across the (sites, states) matrix
+    states = solve_spectrum(LatticeParams(t=1.0, gamma=0.001, length=100), want_vectors=True)
+    _assert_state_alone_is_its_batch_row(states.eigenvectors)
+
+
 class TestLocalization:
     def test_point_mass(self):
         state = np.zeros(20)
@@ -389,6 +424,27 @@ class TestWinding:
         params = LatticeParams(t=1.0, gamma=0.0, length=64, boundary=Boundary.PBC)
         with pytest.raises(BasePointOnSpectrumError):
             winding_trace(params, complex(2.0 * np.cos(2.0 * np.pi * 16 / 64), 0.0))
+
+    @pytest.mark.parametrize(
+        ("length", "gamma", "base", "steps"),
+        [
+            (100, 0.011, 0.3 + 0.1j, 256),
+            (101, 0.011, 0.3 + 0.1j, 256),
+            # the corner t + gamma L is 2 here, where numpy's |corner e^{i theta}|
+            # and abs() can choose different powers of two; this base point
+            # refines the grid to 512 steps
+            (100, 0.01, 1.0047233456859301 - 0.868144922648029j, 512),
+        ],
+        ids=["even", "odd", "corner-at-two-refined"],
+    )
+    def test_trace_is_a_rebuild_of_the_ring_at_every_flux_step(self, length, gamma, base, steps):
+        params = LatticeParams(t=1.0, gamma=gamma, length=length, boundary=Boundary.PBC)
+        trace = winding_trace(params, base)
+        assert trace.theta_steps == steps
+        for theta, log_abs, phase in zip(trace.thetas, trace.det_log_abs, trace.det_phase):
+            det = det_shifted(build_flux_twisted(params, float(theta)), base)
+            assert log_abs == det.log_abs
+            assert phase == math.atan2(det.phase.imag, det.phase.real)
 
 
 class TestDecoupling:

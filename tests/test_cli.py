@@ -195,6 +195,23 @@ class TestStatesCommand:
         assert float(summary[0]["eigen_im"]) == pytest.approx(0.6864, abs=1e-3)
         assert float(summary[0]["env_center"]) == pytest.approx(32.0, abs=1.0)
 
+    def test_each_selection_writes_the_summary_rows_of_select_all(self, tmp_path):
+        # a state's summary does not depend on which other states it is solved with
+        def summary(select):
+            out = tmp_path / select.replace("=", "_").replace(",", "_")
+            argv = ["states", "--gamma", "0.011", "--length", "100", "--select", select]
+            assert run([*argv, "--out", out]) == 0
+            rows = read_csv(f"{out}_summary.csv")
+            return [{k: v for k, v in row.items() if k != "state_id"} for row in rows]
+
+        every = {(row["eigen_re"], row["eigen_im"]): row for row in summary("all")}
+        assert len(every) == 100
+        for select, count in (("real", 90), ("imag", 10), ("nearest=0,0.6864", 1)):
+            rows = summary(select)
+            assert len(rows) == count
+            for row in rows:
+                assert row == every[(row["eigen_re"], row["eigen_im"])]
+
     def test_bad_selection_is_an_argument_error(self, tmp_path):
         assert run(
             ["states", "--gamma", "0.01", "--length", "20", "--select", "bogus", "--out", tmp_path / "x"]

@@ -28,9 +28,11 @@ from ramphop.eigen import (
     RESIDUAL_RTOL,
     ScaledDeterminant,
     _continuant,
+    _det_unit,
     _sprod,
     _twisted_vectors,
 )
+from ramphop.model import binary_scale
 from _strategies import amplitudes, open_ramps
 from _oracles import (
     bisected_level,
@@ -569,6 +571,117 @@ def test_continuant_on_an_array_matches_one_point_calls(w, points, derivative):
             assert abs(dp[k] * shift - dp1) <= 1e-12
         else:
             assert dp1 == 0.0 and dp[k] == 0.0
+
+
+def _bits(x) -> bytes:
+    """The bytes of a float or complex number as a complex, every nan as one."""
+    x = np.asarray(x, dtype=complex)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+_SCALES = st.sampled_from([-500, 0, 500]).map(lambda e: math.ldexp(1.0, e))
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=200),
+    st.floats(min_value=-1.0, max_value=1.0),
+    _SCALES,
+    _SCALES,
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_continuant_on_a_real_point_is_the_array_path_bit_for_bit(w, x, w_scale, x_scale, derivative):
+    # on real points both paths run the same float arithmetic, so the
+    # math.frexp / math.ldexp rescaling of a number must give the bits of
+    # the np.frexp / np.ldexp rescaling of an array; past the continuant's
+    # bounds |w| <= 1 and |z| <= 1 too, where values overflow to inf and nan
+    w = [wk * w_scale for wk in w]
+    x *= x_scale
+    p1, dp1, e1 = _continuant(w, x, derivative)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, dp, e = _continuant(w, np.array([x]), derivative)
+    assert isinstance(e1, int)
+    # with no bonds nothing is rescaled, and dp and the exponent stay numbers
+    dp, e = np.broadcast_to(dp, p.shape), np.broadcast_to(e, p.shape)
+    assert _bits(p1) == _bits(p[0]) and _bits(dp1) == _bits(dp[0]) and e1 == e[0]
+
+
+def _numpy_rescaled_continuant(w, z, derivative):
+    """The continuant of a number rescaled with np.frexp and np.ldexp."""
+    a = 0.0 - z
+    p_prev, p = 1.0, a
+    dp_prev, dp = 0.0, (-1.0 if derivative else 0.0)
+    exponent = 0
+    for start in range(0, len(w), 16):
+        for wk in w[start : start + 16]:
+            if derivative:
+                dp_prev, dp = dp, a * dp - p - wk * dp_prev
+            p_prev, p = p, a * p - wk * p_prev
+        e = int(np.frexp(abs(p) + abs(p_prev) + abs(dp) + abs(dp_prev) + 2.0**-1022)[1])
+        scale = np.ldexp(1.0, -e)
+        p, p_prev, dp, dp_prev = p * scale, p_prev * scale, dp * scale, dp_prev * scale
+        exponent += e
+    return p, dp, exponent
+
+
+@given(
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=200),
+    _unit_disk_points(1).map(lambda points: points[0]),
+    _SCALES,
+    _SCALES,
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_continuant_on_a_complex_point_rescales_as_numpy_does(w, z, w_scale, z_scale, derivative):
+    # numpy rounds complex products differently from Python (see the test
+    # above that compares with tolerances), so a complex number is held to
+    # the same Python recurrence with numpy's rescaling, bit for bit
+    w = [wk * w_scale for wk in w]
+    z *= z_scale
+    p1, dp1, e1 = _continuant(w, z, derivative)
+    p, dp, e = _numpy_rescaled_continuant(w, z, derivative)
+    assert isinstance(p1, complex) and isinstance(e1, int)
+    assert _bits(p1) == _bits(p) and e1 == e
+    if derivative:
+        assert _bits(dp1) == _bits(dp)
+    else:
+        assert dp1 == 0.0
+
+
+def _joined_unit(h, z):
+    """binary_scale of the bonds, the corners and z in one complex array."""
+    return binary_scale(np.concatenate((h.upper, h.lower, [*h.effective_corners(), z])))
+
+
+def test_det_unit_takes_numpys_corner_modulus():
+    # at t = 1, gamma = 0.01, L = 100 the corner t + gamma L is 2; at theta
+    # = 4 numpy's |corner e^{i theta}| is just below 2 while abs() gives 2,
+    # so the two moduli choose different powers of two
+    params = LatticeParams(t=1.0, gamma=0.01, length=100, boundary=Boundary.PBC)
+    h = build_flux_twisted(params, 4.0)
+    corner = h.effective_corners()[0]
+    assert np.abs(corner) < 2.0 and abs(corner) == 2.0
+    z = 0.3 + 0.1j
+    assert _det_unit(h, h.effective_corners(), z) == _joined_unit(h, z) == 2.0
+
+
+@given(
+    amplitudes,
+    amplitudes,
+    st.integers(min_value=3, max_value=40),
+    st.booleans(),
+    st.floats(min_value=0.0, max_value=6.28),
+    st.complex_numbers(max_magnitude=4.0),
+    st.sampled_from([-540, -500, 0, 500]),
+)
+@settings(max_examples=100, deadline=None)
+def test_det_unit_is_the_unit_of_the_joined_array(t, gamma, length, pbc, theta, z, exponent):
+    scale = math.ldexp(1.0, exponent)
+    boundary = Boundary.PBC if pbc else Boundary.OBC
+    params = LatticeParams(t=t * scale, gamma=gamma * scale, length=length, boundary=boundary)
+    h = build_flux_twisted(params, theta) if pbc else build_hamiltonian(params)
+    z *= scale
+    assert _det_unit(h, h.effective_corners(), z) == _joined_unit(h, z)
 
 
 @pytest.mark.parametrize("length", [0, 1, 511, 512, 513, 2000])
